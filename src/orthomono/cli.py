@@ -264,22 +264,13 @@ def cmd_analyze(args, out=sys.stdout):
         return EXIT_PARSE
     try:
         field, space, gens = parse_group_file(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return EXIT_PARSE
-    except _BOUND_ERRORS as exc:
-        print(f"bound exceeded: {exc}", file=out)
-        return EXIT_BOUND
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {_reason_of(exc)}", file=out)
-        if args.explain:
-            print(f"detail: {exc}", file=out)
-        return EXIT_HYPOTHESIS
-    try:
         G = MatrixGroup(gens, space=None if args.no_form else space,
                         bound=args.bound)
         cert = monomialize(G, space)
         report = check_certificate(cert, G)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=out)
+        return EXIT_PARSE
     except _HYPOTHESIS_ERRORS as exc:
         print(f"error: {_reason_of(exc)}", file=out)
         if args.explain:
@@ -290,6 +281,10 @@ def cmd_analyze(args, out=sys.stdout):
         return EXIT_BOUND
     except _INVARIANT_ERRORS as exc:
         print(f"invariant violation: {exc}", file=out)
+        return EXIT_INVARIANT
+    except AlgebraError as exc:
+        # belongs to no family above: reported, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=out)
         return EXIT_INVARIANT
     doc = write_certificate(cert, report.ok)
     if args.output:

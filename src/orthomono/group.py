@@ -107,7 +107,7 @@ class MatrixGroup:
             if g.field != field or g.rows != n or g.cols != n:
                 raise AlgebraError("generators of mixed shape or field")
             if g.det().idx == 0:
-                raise AlgebraError("generator is singular")
+                raise HypothesisViolated("generator is singular")
             if space is not None and not is_isometry(g, space):
                 raise NotIsometry("generator does not preserve the form")
             if g not in seen and not g.is_identity():

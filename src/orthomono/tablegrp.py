@@ -16,63 +16,75 @@ from .field import is_prime
 class CayleyTable:
     """Multiplication table of a finite group on element indices 0..N-1."""
 
-    __slots__ = ("table", "inv", "identity", "n")
+    __slots__ = ("table", "inv", "identity", "n", "_keys")
 
-    def __init__(self, table, inv, identity):
+    def __init__(self, table, identity):
         self.table = table
-        self.inv = inv
         self.identity = int(identity)
         self.n = table.shape[0]
+        # row i holds the identity exactly once, in column inv[i]
+        self.inv = np.argmax(table == self.identity, axis=1) \
+            .astype(table.dtype)
+        # canonical_key memo: sorted subgroup bytes -> key, for this table
+        self._keys = {}
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _from_generator_rows(cls, rows, identity):
+        """Table from the left action of generators: rows[s][j] is the index
+        of s * g_j.  Row i is filled from an already filled row w with
+        g_i = s * g_w, as rows[s][table[w]], so each row is one gather."""
+        N = len(rows[0])
+        table = np.empty((N, N), dtype=np.int16 if N < 32767 else np.int32)
+        table[identity] = np.arange(N)
+        filled = np.zeros(N, dtype=bool)
+        filled[identity] = True
+        todo = [int(identity)]
+        while todo:
+            w = todo.pop()
+            for row in rows:
+                i = int(row[w])
+                if not filled[i]:
+                    filled[i] = True
+                    table[i] = row[table[w]]
+                    todo.append(i)
+        return cls(table, identity)
 
     @classmethod
     def from_matrix_group(cls, G):
         els = G.enumerate()
         N = len(els)
         n = G.dim
-        dtype = np.int16 if N < 32767 else np.int32
-        table = np.empty((N, N), dtype=dtype)
         if G.field.k == 1 and G.field.p ** (n * n) < 2 ** 62:
             p = G.field.p
             stack = np.stack([m.a for m in els]).astype(np.int64)
             powers = p ** np.arange(n * n, dtype=np.int64)
             codes = stack.reshape(N, -1) @ powers
-            code_index = {int(c): i for i, c in enumerate(codes)}
-            for i in range(N):
-                prods = (stack[i] @ stack) % p
+            order = np.argsort(codes)
+            sorted_codes = codes[order]
+            rows = []
+            for g in G.gens:
+                prods = (g.a.astype(np.int64) @ stack) % p
                 pc = prods.reshape(N, -1) @ powers
-                table[i] = [code_index[int(c)] for c in pc]
+                rows.append(order[np.searchsorted(sorted_codes, pc)])
         else:
-            index = {m: i for i, m in enumerate(els)}
-            for i, a in enumerate(els):
-                table[i] = [index[a @ b] for b in els]
-        e = G.index_of(G.identity)
-        inv = np.empty(N, dtype=dtype)
-        for i in range(N):
-            inv[i] = int(np.flatnonzero(table[i] == e)[0])
-        return cls(table, inv, e)
+            rows = [np.array([G.index_of(g @ b) for b in els])
+                    for g in G.gens]
+        return cls._from_generator_rows(rows, G.index_of(G.identity))
 
     @classmethod
     def from_perm_group(cls, P):
         els = P.enumerate()
-        N = len(els)
         n = P.degree
         arr = np.array(els, dtype=np.int64)
         powers = np.int64(n) ** np.arange(n, dtype=np.int64)
-        codes = arr @ powers
-        lut = np.full(n ** n, -1, dtype=np.int32)
-        lut[codes] = np.arange(N)
-        dtype = np.int16 if N < 32767 else np.int32
-        table = np.empty((N, N), dtype=dtype)
-        for i in range(N):
-            composed = arr[i][arr]  # (p_i * q_j)(x) = p_i[q_j[x]]
-            table[i] = lut[composed @ powers]
-        e = int(lut[np.arange(n, dtype=np.int64) @ powers])
-        inv = np.empty(N, dtype=dtype)
-        for i in range(N):
-            inv[i] = int(np.flatnonzero(table[i] == e)[0])
-        return cls(table, inv, e)
+        lut = np.full(n ** n, -1, dtype=np.int64)
+        lut[arr @ powers] = np.arange(len(els))
+        # (s * q)(x) = s[q(x)]
+        rows = [lut[np.asarray(s)[arr] @ powers] for s in P.gens]
+        return cls._from_generator_rows(
+            rows, lut[np.arange(n, dtype=np.int64) @ powers])
 
     # -- basic subgroup operations -------------------------------------------
 
@@ -80,15 +92,15 @@ class CayleyTable:
         """Sorted index array of the subgroup generated by the seeds."""
         seen = np.zeros(self.n, dtype=bool)
         seen[self.identity] = True
-        gens = sorted({int(s) for s in seeds})
-        frontier = [self.identity]
-        while frontier:
-            prods = self.table[np.ix_(gens, frontier)].ravel() \
-                if gens else np.empty(0, dtype=int)
-            fresh = np.unique(prods)
-            fresh = fresh[~seen[fresh]]
-            seen[fresh] = True
-            frontier = fresh.tolist()
+        fresh = np.empty(self.n, dtype=bool)
+        gens = np.unique(np.asarray(seeds, dtype=np.intp))
+        frontier = np.array([self.identity])
+        while frontier.size and gens.size:
+            fresh.fill(False)
+            fresh[self.table[gens[:, None], frontier]] = True
+            np.greater(fresh, seen, out=fresh)  # fresh and not seen
+            seen |= fresh
+            frontier = fresh.nonzero()[0]
         return np.flatnonzero(seen)
 
     def subgroup_generators(self, H):
@@ -127,9 +139,14 @@ class CayleyTable:
 
     def canonical_key(self, H):
         """Bytes key of the lexicographically least conjugate of H."""
-        M = self.conjugate_rows(H)
-        order = np.lexsort(M.T[::-1])
-        return M[order[0]].astype(np.int32).tobytes()
+        Hs = np.sort(np.asarray(H)).astype(np.int32)
+        memo = Hs.tobytes()
+        key = self._keys.get(memo)
+        if key is None:
+            M = self.conjugate_rows(Hs)
+            order = np.lexsort(M.T[::-1])
+            key = self._keys[memo] = M[order[0]].astype(np.int32).tobytes()
+        return key
 
     def conjugate_set(self, H, g):
         rows = self.table[self.table[g, np.asarray(H)], int(self.inv[g])]
@@ -187,7 +204,13 @@ class CayleyTable:
         extension method: grow each known class by elements of prime order
         modulo the subgroup inside its normalizer, deduplicating by the
         canonical conjugate.  Deterministic; returns sorted index arrays,
-        ordered by (order, canonical key)."""
+        ordered by (order, canonical key).
+
+        <H, x> = <H, xh>, so each coset xH of the normalizer is tried once,
+        at its least element; and when xH has prime order, every element
+        of K = <H, x> outside H generates K over H, so all of K is skipped.
+        x runs in increasing order, so each class keeps the representative
+        found first."""
         e = self.identity
         trivial = np.array([e])
         classes = {self.canonical_key(trivial): trivial}
@@ -197,9 +220,9 @@ class CayleyTable:
             for H in frontier:
                 mask = np.zeros(self.n, dtype=bool)
                 mask[H] = True
-                norm = np.flatnonzero(self.normalizer_mask(H))
-                for x in norm:
-                    if mask[x]:
+                tried = mask.copy()
+                for x in np.flatnonzero(self.normalizer_mask(H)):
+                    if tried[x]:
                         continue
                     m = 1
                     y = int(x)
@@ -207,6 +230,7 @@ class CayleyTable:
                         y = int(self.table[y, x])
                         m += 1
                     if not is_prime(m):
+                        tried[self.table[x, H]] = True
                         continue
                     powers = [e]
                     y = int(x)
@@ -214,6 +238,7 @@ class CayleyTable:
                         powers.append(y)
                         y = int(self.table[y, x])
                     K = np.unique(self.table[np.ix_(powers, H)])
+                    tried[K] = True
                     key = self.canonical_key(K)
                     if key not in classes:
                         classes[key] = K

@@ -241,3 +241,43 @@ def test_group_file_round_trip_extension_field():
     field2, space2, gens2 = parse_group_file(text)
     assert field2.q == 9
     assert gens2 == gens and space2.gram == space.gram
+
+
+SINGULAR_FILE = """\
+field p=5 k=1
+dim 3
+gram
+1 0 0
+0 1 0
+0 0 1
+gen
+1 0 0
+0 1 0
+0 0 0
+"""
+
+
+def test_analyze_singular_generator(tmp_path):
+    # regression: ended in an AlgebraError traceback instead of an exit code
+    path = tmp_path / "sing.grp"
+    path.write_text(SINGULAR_FILE)
+    for extra in ([], ["--no-form"]):
+        code, output = run(["analyze", str(path)] + extra)
+        assert code == 2
+        assert "error: generator is singular" in output.splitlines()
+
+
+def test_analyze_unmapped_error_exits_3(tmp_path, monkeypatch):
+    # an error of no mapped family is reported with exit 3, not raised
+    import orthomono.cli as cli
+    from orthomono.errors import AlgebraError
+
+    def broken(G, space):
+        raise AlgebraError("no rule for this")
+
+    monkeypatch.setattr(cli, "monomialize", broken)
+    path = tmp_path / "o33.grp"
+    path.write_text(O33_FILE)
+    code, output = run(["analyze", str(path)])
+    assert code == 3
+    assert output.splitlines() == ["error: AlgebraError: no rule for this"]

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from orthomono.errors import TooLarge
-from orthomono.field import GF
+from orthomono.field import GF, is_prime
 from orthomono.form import QuadraticSpace
 from orthomono.group import PermGroup, orthogonal_group
 from orthomono.linalg import Matrix
 from orthomono.tablegrp import CayleyTable
+from orthomono.wreath import wreath_construct
 
 F3, F5 = GF(3), GF(5)
 
@@ -137,3 +138,151 @@ def test_dimino_matches_batched_closure():
         raw = _mulclose_prime(F5, [g.a for g in gens], 3, 10 ** 6)
         via_batched = {Matrix(F5, m)._key for m in raw}
         assert via_dimino == via_batched
+
+# -- reference implementations: the straightforward versions of the table
+# kernel, kept to hold the fast paths to exactly the same results ----------
+
+def ref_matrix_table(G):
+    """Every product looked up row by row in a dict: of element codes over
+    a prime field, of the matrices themselves otherwise.  Each inverse is
+    found by scanning its row for the identity."""
+    els = G.enumerate()
+    N, n, p = len(els), G.dim, G.field.p
+    table = np.empty((N, N), dtype=np.int16)
+    if G.field.k == 1:
+        stack = np.stack([m.a for m in els]).astype(np.int64)
+        powers = p ** np.arange(n * n, dtype=np.int64)
+        code_index = {int(c): i for i, c in enumerate(stack.reshape(N, -1)
+                                                      @ powers)}
+        for i in range(N):
+            pc = ((stack[i] @ stack) % p).reshape(N, -1) @ powers
+            table[i] = [code_index[int(c)] for c in pc]
+    else:
+        index = {m: i for i, m in enumerate(els)}
+        for i, a in enumerate(els):
+            table[i] = [index[a @ b] for b in els]
+    e = G.index_of(G.identity)
+    inv = np.array([np.flatnonzero(row == e)[0] for row in table],
+                   dtype=np.int16)
+    return table, inv, e
+
+
+def ref_perm_table(P):
+    """Every product composed and looked up, row by row."""
+    els = P.enumerate()
+    index = {q: i for i, q in enumerate(els)}
+    table = np.array([[index[PermGroup.compose(a, b)] for b in els]
+                      for a in els], dtype=np.int16)
+    e = index[tuple(range(P.degree))]
+    inv = np.array([np.flatnonzero(row == e)[0] for row in table],
+                   dtype=np.int16)
+    return table, inv, e
+
+
+def ref_closure(ct, seeds):
+    """Frontier kept as np.unique of all products with the generators."""
+    seen = np.zeros(ct.n, dtype=bool)
+    seen[ct.identity] = True
+    gens = sorted({int(s) for s in seeds})
+    frontier = [ct.identity]
+    while frontier and gens:
+        fresh = np.unique(ct.table[np.ix_(gens, frontier)].ravel())
+        fresh = fresh[~seen[fresh]]
+        seen[fresh] = True
+        frontier = fresh.tolist()
+    return np.flatnonzero(seen)
+
+
+def ref_canonical_key(ct, H):
+    """Least conjugate recomputed on every call."""
+    M = ct.conjugate_rows(H)
+    return M[np.lexsort(M.T[::-1])[0]].astype(np.int32).tobytes()
+
+
+def ref_solvable_subgroup_classes(ct):
+    """Cyclic extension by every element of the normalizer."""
+    e = ct.identity
+    trivial = np.array([e])
+    classes = {ref_canonical_key(ct, trivial): trivial}
+    frontier = [trivial]
+    while frontier:
+        fresh = []
+        for H in frontier:
+            mask = np.zeros(ct.n, dtype=bool)
+            mask[H] = True
+            for x in np.flatnonzero(ct.normalizer_mask(H)):
+                if mask[x]:
+                    continue
+                m, y = 1, int(x)
+                while not mask[y]:
+                    y = int(ct.table[y, x])
+                    m += 1
+                if not is_prime(m):
+                    continue
+                powers = [e]
+                y = int(x)
+                for _ in range(m - 1):
+                    powers.append(y)
+                    y = int(ct.table[y, x])
+                K = np.unique(ct.table[np.ix_(powers, H)])
+                key = ref_canonical_key(ct, K)
+                if key not in classes:
+                    classes[key] = K
+                    fresh.append(K)
+        frontier = fresh
+    return sorted(classes.values(), key=lambda a: (len(a), a.tobytes()))
+
+
+def _same_arrays(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module", params=["O3(3)", "O3(5)", "S5", "W3(9)"])
+def kernel_case(request):
+    if request.param == "S5":
+        P = PermGroup.symmetric(5)
+        return CayleyTable.from_perm_group(P), ref_perm_table(P)
+    if request.param == "W3(9)":
+        # signed permutations over S_3 in GF(9): the extension-field path
+        F9 = GF(3, 2)
+        G = wreath_construct(PermGroup.symmetric(3),
+                             QuadraticSpace(F9, Matrix.identity(F9, 3))).group
+        return CayleyTable.from_matrix_group(G), ref_matrix_table(G)
+    G, ct = o3_table(F3 if request.param == "O3(3)" else F5)
+    return ct, ref_matrix_table(G)
+
+
+def test_table_and_inverses_match_reference(kernel_case):
+    ct, (table, inv, e) = kernel_case
+    assert _same_arrays(ct.table, table)
+    assert _same_arrays(ct.inv, inv)
+    assert ct.identity == e
+
+
+def test_closure_matches_reference(kernel_case):
+    ct, _ = kernel_case
+    rng = np.random.RandomState(1)
+    seed_sets = [[], [ct.identity], list(range(ct.n)), range(3)]
+    seed_sets += [rng.randint(0, ct.n, k).tolist()
+                  for k in (1, 1, 2, 2, 3) for _ in range(10)]
+    seed_sets += [rng.randint(0, ct.n, 2).astype(np.int16)]
+    for seeds in seed_sets:
+        assert _same_arrays(ct.closure(seeds), ref_closure(ct, seeds))
+
+
+def test_classes_and_keys_match_reference(kernel_case):
+    ct, _ = kernel_case
+    ref = ref_solvable_subgroup_classes(ct)
+    got = ct.solvable_subgroup_classes()
+    assert len(got) == len(ref)
+    for H, R in zip(got, ref):
+        assert _same_arrays(H, R)
+        assert ct.canonical_key(H) == ref_canonical_key(ct, H)
+
+
+def test_canonical_key_memo_ignores_order_and_dtype(kernel_case):
+    ct, _ = kernel_case
+    for H in ct.solvable_subgroup_classes():
+        key = ref_canonical_key(ct, H)
+        for variant in (H[::-1], H.astype(np.int64), H.astype(np.int16)):
+            assert ct.canonical_key(variant) == key
