@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .field import GF, FieldSpec
+from .field import GF, POLICY_MAX_Q, FieldSpec, prime_factors
 from .form import QuadraticSpace
 from .group import MatrixGroup, PermGroup, orthogonal_group
 from .linalg import Matrix
@@ -256,6 +256,22 @@ def write_certificate(cert, verified):
 # commands
 
 
+def _field_of_order(q):
+    """GF(q) for a prime power q = p^k; any q with more or fewer than one
+    prime divisor is refused (HypothesisViolated), as is one over the
+    field-size policy bound (TooLarge).  The field itself refuses p = 2."""
+    primes = prime_factors(q) if q > 1 else []
+    if len(primes) != 1:
+        raise HypothesisViolated(f"q = {q} is not an odd prime power")
+    if q > POLICY_MAX_Q:
+        raise TooLarge(f"field size {q} exceeds policy bound 2^16")
+    p, k = primes[0], 0
+    while q > 1:
+        q //= p
+        k += 1
+    return GF(p, k)
+
+
 def cmd_analyze(args, out=sys.stdout):
     try:
         text = open(args.path).read()
@@ -305,10 +321,13 @@ def cmd_check_theorem(args, out=sys.stdout):
         print("error: dimension even", file=out)
         return EXIT_HYPOTHESIS
     try:
-        field = GF(q)
+        field = _field_of_order(q)
     except _HYPOTHESIS_ERRORS as exc:
         print(f"error: {_reason_of(exc)}", file=out)
         return EXIT_HYPOTHESIS
+    except _BOUND_ERRORS as exc:
+        print(f"bound exceeded: {exc}", file=out)
+        return EXIT_BOUND
     space = QuadraticSpace(field, Matrix.identity(field, n))
     ambient = orthogonal_group(space, bound=args.bound)
     if ambient.order > 5000:
@@ -369,7 +388,7 @@ def _parse_kspec(spec, n):
 
 def cmd_wreath(args, out=sys.stdout):
     try:
-        field = GF(args.q)
+        field = _field_of_order(args.q)
         space = QuadraticSpace(field, Matrix.identity(field, args.n))
         K = _parse_kspec(args.kspec, args.n)
         W = wreath_construct(K, space)
@@ -398,7 +417,11 @@ def cmd_wreath(args, out=sys.stdout):
 def cmd_maximal(args, out=sys.stdout):
     n, q = args.n, args.q
     try:
+        field = _field_of_order(q)
         classes = transitive_solvable_subgroups(n)
+    except _HYPOTHESIS_ERRORS as exc:
+        print(f"error: {_reason_of(exc)}", file=out)
+        return EXIT_HYPOTHESIS
     except _BOUND_ERRORS as exc:
         print(f"bound exceeded: {exc}", file=out)
         return EXIT_BOUND
@@ -410,7 +433,6 @@ def cmd_maximal(args, out=sys.stdout):
     if heavy and not args.long:
         print("maximality sweep skipped (use --long for n > 3)", file=out)
         return EXIT_OK
-    field = GF(q)
     space = QuadraticSpace(field, Matrix.identity(field, n))
     check = maximality_check_big if heavy else maximality_check
     for t in classes:

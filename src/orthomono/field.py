@@ -178,6 +178,8 @@ class FieldSpec:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
+        if self._tables is not None:
+            return int(self._tables[1][a, b])
         if a == 0 or b == 0:
             return 0
         return self._mul_ext(a, b)
@@ -216,6 +218,8 @@ class FieldSpec:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self}")
+        if self.k > 1 and self._tables is not None:
+            return int(self._tables[3][a])
         return self.pow(a, self.q - 2)
 
     def div(self, a, b):
@@ -261,7 +265,7 @@ class FieldSpec:
         for i in range(q - 1):
             exp_t[i] = x
             log_t[x] = i
-            x = self.mul(x, g)
+            x = self._mul_ext(x, g)
         exp_t[q - 1:] = exp_t[:q - 1]
         mul_t = np.zeros((q, q), dtype=np.int32)
         nz = np.arange(1, q)

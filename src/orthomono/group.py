@@ -284,12 +284,14 @@ def center(G):
     return MatrixGroup(central, space=G.space, bound=G.bound)
 
 
-def abelian_normal_term(G):
+def abelian_normal_term(G, series=None):
     """Last nontrivial derived-series term L: abelian, normal in G, and
-    contained in [G, G] whenever G is non-abelian."""
+    contained in [G, G] whenever G is non-abelian.  L is read from
+    `series`, the derived series of G, when the caller has it."""
     if G.order == 1:
         raise TrivialGroup("the trivial group has no abelian normal term")
-    series = derived_series(G)
+    if series is None:
+        series = derived_series(G)
     if series[-1].order != 1:
         raise HypothesisViolated("not solvable",
                                  "derived series does not reach 1")

@@ -56,18 +56,22 @@ class CayleyTable:
         els = G.enumerate()
         N = len(els)
         n = G.dim
-        if G.field.k == 1 and G.field.p ** (n * n) < 2 ** 62:
-            p = G.field.p
-            stack = np.stack([m.a for m in els]).astype(np.int64)
-            powers = p ** np.arange(n * n, dtype=np.int64)
-            codes = stack.reshape(N, -1) @ powers
-            order = np.argsort(codes)
-            sorted_codes = codes[order]
-            rows = []
-            for g in G.gens:
-                prods = (g.a.astype(np.int64) @ stack) % p
-                pc = prods.reshape(N, -1) @ powers
-                rows.append(order[np.searchsorted(sorted_codes, pc)])
+        F = G.field
+        if F.q ** (n * n) < 2 ** 62:
+            # every element's columns side by side: one product per generator
+            flat = np.concatenate([m.a for m in els], axis=1)
+            powers = F.q ** np.arange(n * n, dtype=np.int64)
+
+            def codes(M):
+                return M.reshape(n, N, n).transpose(1, 0, 2) \
+                    .reshape(N, -1).astype(np.int64) @ powers
+
+            own = codes(flat)
+            order = np.argsort(own)
+            sorted_codes = own[order]
+            rows = [order[np.searchsorted(sorted_codes,
+                                          codes(F.mat_mul(g.a, flat)))]
+                    for g in G.gens]
         else:
             rows = [np.array([G.index_of(g @ b) for b in els])
                     for g in G.gens]

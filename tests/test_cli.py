@@ -281,3 +281,41 @@ def test_analyze_unmapped_error_exits_3(tmp_path, monkeypatch):
     code, output = run(["analyze", str(path)])
     assert code == 3
     assert output.splitlines() == ["error: AlgebraError: no rule for this"]
+
+
+def test_prime_power_q_builds_the_extension_field(tmp_path):
+    # regression: GF(q) read q = 9 as the prime and ended in a traceback
+    code, output = run(["check-theorem", "3", "9"])
+    assert code == 0
+    assert output.splitlines()[0] == \
+        "O_3(9): order 1440, 71 solvable subgroup classes"
+    assert output.splitlines()[-1] == \
+        "irreducible solvable classes: 5, failures: 0"
+    code, output = run(["maximal", "3", "9"])
+    assert code == 0
+    assert output.splitlines()[-1] == \
+        "  wreath over order-6 class in O_3(9): maximal"
+    path = tmp_path / "w9.grp"
+    code, _ = run(["wreath", "3", "9", "S", "-o", str(path)])
+    assert code == 0
+    field, _, gens = parse_group_file(path.read_text())
+    from orthomono.group import MatrixGroup
+    assert field.q == 9 and MatrixGroup(gens).order == 48
+
+
+@pytest.mark.parametrize("q", [15, 1])
+def test_q_not_an_odd_prime_power_exits_2(q):
+    for argv in (["check-theorem", "3", str(q)], ["maximal", "3", str(q)],
+                 ["wreath", "3", str(q), "S"]):
+        code, output = run(argv)
+        assert code == 2
+        assert output.splitlines() == \
+            [f"error: q = {q} is not an odd prime power"]
+
+
+def test_q_over_the_field_policy_bound_exits_4():
+    # regression: GF(65537) raised a bare AlgebraError, ending in a traceback
+    code, output = run(["check-theorem", "3", "65537"])
+    assert code == 4
+    assert output.splitlines() == \
+        ["bound exceeded: field size 65537 exceeds policy bound 2^16"]

@@ -8,6 +8,7 @@ from orthomono.errors import (
 )
 from orthomono.field import (
     GF,
+    FieldSpec,
     Poly,
     embedding,
     frobenius_orbit,
@@ -67,6 +68,25 @@ def test_vector_ops_match_scalar_ops():
             B = np.full(F.q, b, dtype=np.int32)
             assert [F.add(a, b) for a in range(F.q)] == list(F.vadd(A, B))
             assert [F.mul(a, b) for a in range(F.q)] == list(F.vmul(A, B))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_scalar_ops_through_tables_match_polynomial_arithmetic(p, k):
+    # mul and inv read the lookup tables once they exist; before, they run
+    # polynomial arithmetic modulo the field's modulus
+    F = FieldSpec(p, k)
+    assert F._tables is None
+    poly_mul = [[F.mul(a, b) for b in range(F.q)] for a in range(F.q)]
+    poly_inv = [F.inv(a) for a in range(1, F.q)]
+    assert F._tables is None
+    F.tables
+    assert [[F.mul(a, b) for b in range(F.q)]
+            for a in range(F.q)] == poly_mul
+    assert [F.inv(a) for a in range(1, F.q)] == poly_inv
+    assert all(type(F.mul(a, a)) is int and type(F.inv(a)) is int
+               for a in range(1, F.q))
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
 
 
 # --- polynomials ---------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orthomono.errors import HypothesisViolated
+from orthomono.errors import CertificateCheckFailed, HypothesisViolated
 from orthomono.field import GF, FieldElem
 from orthomono.form import QuadraticSpace
 from orthomono.group import (
@@ -11,8 +11,12 @@ from orthomono.group import (
     reduce_generators,
 )
 from orthomono.linalg import Matrix, Subspace
+import orthomono.group as group_mod
+import orthomono.monomial as monomial_mod
 from orthomono.monomial import (
+    CheckReport,
     MonomialCertificate,
+    _generator_images,
     check_certificate,
     find_invariant_decomposition,
     monomialize,
@@ -286,3 +290,154 @@ def test_monomialize_wreath_f20_gf5():
     cert = monomialize(G, s)
     report = check_certificate(cert, G)
     assert report.ok, report.failure
+
+
+def test_find_invariant_decomposition_rejects_nonsolvable():
+    s = unit_space(F5, 3)
+    with pytest.raises(HypothesisViolated) as exc:
+        find_invariant_decomposition(orthogonal_group(s), s)
+    assert exc.value.reason == "not solvable"
+
+
+def test_hypotheses_once_and_one_derived_series_per_level(monkeypatch):
+    # the recursion re-proves nothing that passes to subgroups: the
+    # hypotheses are checked at the public entry only, and each level
+    # builds the derived series of its group once
+    calls = {"hypotheses": 0, "series": 0, "levels": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(monomial_mod, "_check_hypotheses", counting(
+        "hypotheses", monomial_mod._check_hypotheses))
+    series = counting("series", group_mod.derived_series)
+    monkeypatch.setattr(monomial_mod, "derived_series", series)
+    monkeypatch.setattr(group_mod, "derived_series", series)
+    monkeypatch.setattr(monomial_mod, "monomialize", counting(
+        "levels", monomial_mod.monomialize))
+    for build, levels in ((deep_block_group, 3), (wreath_c5_group, 2)):
+        calls.update(hypotheses=0, series=0, levels=0)
+        G, s = build()
+        cert = monomial_mod.monomialize(G, s)
+        assert len(cert.transport) == levels - 1
+        assert calls == {"hypotheses": 1, "series": levels,
+                         "levels": levels}
+    # a direct call still checks the hypotheses itself
+    calls.update(hypotheses=0, series=0)
+    G, s = wreath_c5_group()
+    find_invariant_decomposition(G, s)
+    assert calls["hypotheses"] == 1 and calls["series"] == 1
+
+
+def check_certificate_every_element(cert, G):
+    """Reference verifier: the every-element sweep that check_certificate
+    replaced by the same test on the generators alone."""
+    space = cert.space
+    F = space.field
+    rows = cert.basis
+    n = cert.n
+
+    def fail(msg):
+        return CheckReport(False, msg)
+
+    if rows.shape != (n, space.n) or n != space.n:
+        return fail("basis shape mismatch")
+    P = cert.basis_change()
+    try:
+        P_inv = P.inverse()
+    except Exception:
+        return fail("basis vectors are linearly dependent")
+    c = cert.scalar.idx
+    if c == 0:
+        return fail("scalar c is zero")
+    gram = space.gram_block(rows, rows)
+    for i in range(n):
+        for j in range(n):
+            want = c if i == j else 0
+            if int(gram[i, j]) != want:
+                return fail(f"gram of basis at ({i},{j}) is {int(gram[i, j])},"
+                            f" expected {want}")
+    if len(cert.generator_images) != len(G.gens):
+        return fail("generator image count mismatch")
+    try:
+        recomputed = _generator_images(G.gens, rows, space)
+    except CertificateCheckFailed as e:
+        return fail(str(e))
+    if recomputed != cert.generator_images:
+        return fail("recorded generator images do not match recomputation")
+    minus_one = F.neg(1)
+    for g in G.enumerate():
+        M = (P_inv @ g @ P).a
+        for i in range(n):
+            row_nz = np.flatnonzero(M[i])
+            col_nz = np.flatnonzero(M[:, i])
+            if len(row_nz) != 1 or len(col_nz) != 1:
+                return fail("conjugated element is not monomial")
+            val = int(M[i, row_nz[0]])
+            if val != 1 and val != minus_one:
+                return fail("monomial entry is not +-1")
+    return CheckReport(True)
+
+
+def _tampered(cert, **changes):
+    fields = dict(space=cert.space, basis=cert.basis, scalar=cert.scalar,
+                  generator_images=cert.generator_images,
+                  transport=cert.transport)
+    fields.update(changes)
+    return MonomialCertificate(**fields)
+
+
+def _tamperings(cert):
+    """(name, certificate) for each way of spoiling a genuine one."""
+    F = cert.space.field
+    images = cert.generator_images
+    perm, signs = images[0]
+    out = [("flipped sign", _tampered(
+        cert, generator_images=((perm, (-signs[0],) + signs[1:]),)
+        + images[1:]))]
+    if cert.n > 1:
+        bad = cert.basis.copy()
+        bad[0] = F.vadd(bad[0], bad[1])
+        out.append(("non-orthogonal basis", _tampered(cert, basis=bad)))
+    wrong = next(c for c in range(1, F.q) if c != cert.scalar.idx)
+    out.append(("wrong scalar",
+                _tampered(cert, scalar=FieldElem(F, wrong))))
+    if len(images) > 1 and images[0][0] != images[1][0]:
+        out.append(("swapped image permutations", _tampered(
+            cert, generator_images=((images[1][0], images[0][1]),
+                                    (images[0][0], images[1][1]))
+            + images[2:])))
+    if F.q > 3:
+        unit = next(u for u in range(2, F.q) if u != F.neg(1))
+        scaled = cert.basis.copy()
+        scaled[0] = F.vscale(unit, scaled[0])
+        out.append(("line scaled by a non-+-1 unit",
+                    _tampered(cert, basis=scaled)))
+    return out
+
+
+def test_generator_check_agrees_with_every_element_sweep():
+    from orthomono.group import perm_matrix
+    F9 = GF(3, 2)
+    s9 = unit_space(F9, 3)
+    ext = MatrixGroup([perm_matrix(F9, (1, 2, 0)),
+                       Matrix.diag(F9, [F9.neg(1), 1, 1])], space=s9)
+    s1 = QuadraticSpace(F5, [[1]])
+    cases = [(MatrixGroup([Matrix(F5, [[4]])], space=s1), s1),
+             (orthogonal_group(unit_space(F3, 3)), unit_space(F3, 3)),
+             wreath_c5_group(), deep_block_group(), (ext, s9)]
+    names = set()
+    for G, s in cases:
+        cert = monomialize(G, s)
+        want = check_certificate_every_element(cert, G)
+        assert want.ok
+        assert check_certificate(cert, G) == want
+        for name, bad in _tamperings(cert):
+            names.add(name)
+            want = check_certificate_every_element(bad, G)
+            assert not want.ok, name
+            assert check_certificate(bad, G) == want, name
+    assert len(names) == 5
