@@ -460,9 +460,6 @@ def build_parser():
                     "for solvable matrix groups over small odd finite fields")
     parser.add_argument("--bound", type=int, default=10 ** 6,
                         help="element enumeration cap (default 10^6)")
-    parser.add_argument("--seedless", action="store_true",
-                        help="assert that no randomized path is taken "
-                             "(always true: the pipeline is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="certificate for a group file")
@@ -498,10 +495,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seedless:
-        # nothing in the package draws randomness; the flag records the
-        # guarantee in the output for audit trails
-        print("seedless: deterministic pipeline, no randomized path exists")
     handlers = {
         "analyze": cmd_analyze,
         "check-theorem": cmd_check_theorem,

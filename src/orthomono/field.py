@@ -454,11 +454,6 @@ class Poly:
     def const(cls, field, c):
         return cls(field, (c,))
 
-    @classmethod
-    def from_residues(cls, field, residues):
-        """Build from prime-subfield residues (CLI and tests convenience)."""
-        return cls(field, [r % field.p for r in residues])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1

@@ -169,18 +169,22 @@ def maximality_check(W, bound=DEFAULT_BOUND):
     irreducible solvable subgroups of O(V, Q) iff no <W, x> with x outside W
     is both solvable and irreducible.  Any strictly larger solvable
     irreducible overgroup contains such an extension, so the sweep decides
-    maximality; a violating overgroup is returned as the counterexample."""
+    maximality; a violating overgroup is returned as the counterexample.
+    x runs in increasing order, taking the least element of each double
+    coset W x W."""
     ambient = orthogonal_group(W.space, bound=bound)
     ct = CayleyTable.from_matrix_group(ambient)
     els = ambient.enumerate()
+    w_idx = np.array([ambient.index_of(g) for g in W.group.enumerate()])
     member = np.zeros(ct.n, dtype=bool)
-    for g in W.group.enumerate():
-        member[ambient.index_of(g)] = True
+    member[w_idx] = True
     wgen_idx = [ambient.index_of(g) for g in W.group.gens]
     seen_closures = set()
     for x in range(ct.n):
         if member[x]:
             continue
+        # <W, x> = <W, w x w'>: the whole double coset W x W is tried here
+        member[ct.table[np.ix_(ct.table[w_idx, x], w_idx)]] = True
         K = ct.closure(wgen_idx + [x])
         key = (len(K), K.tobytes())
         if key in seen_closures:

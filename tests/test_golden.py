@@ -17,6 +17,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     ["check-theorem", "3", "5"],
     ["maximal", "3", "5"],
     ["maximal", "5", "3"],
+    ["maximal", "3", "7"],
+    ["maximal", "3", "9"],
+    ["check-theorem", "3", "7"],
 ])
 def test_cli_output_matches_golden(argv):
     handler = {"check-theorem": cmd_check_theorem,

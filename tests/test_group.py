@@ -5,12 +5,20 @@ import pytest
 
 from orthomono.errors import BoundExceeded, NotIsometry, TrivialGroup
 from orthomono.field import GF
-from orthomono.form import OrthoDecomposition, QuadraticSpace, is_isometry
+from orthomono import group
+from orthomono.form import (
+    OrthoDecomposition,
+    QuadraticSpace,
+    anisotropic_lines,
+    is_isometry,
+)
 from orthomono.group import (
+    DEFAULT_BOUND,
     MatrixGroup,
     PermGroup,
     abelian_normal_term,
     center,
+    closure,
     derived_series,
     element_order,
     fixed_space,
@@ -20,8 +28,8 @@ from orthomono.group import (
     perm_image,
     perm_matrix,
     reduce_generators,
+    reflection,
     setwise_stabilizer,
-    transitivity,
 )
 from orthomono.linalg import Matrix, Subspace
 
@@ -212,14 +220,14 @@ def test_perm_image_examples():
     space, D = axes_decomposition(F5, 3)
     minus = MatrixGroup([Matrix.diag(F5, [4, 4, 4])], space=space)
     img = perm_image(minus, D)
-    assert img.order == 1 and not transitivity(img)
+    assert img.order == 1 and not img.is_transitive
     cyc = MatrixGroup([Matrix(F5, CYCLE3)], space=space)
     img = perm_image(cyc, D)
-    assert img.order == 3 and transitivity(img)
+    assert img.order == 3 and img.is_transitive
     G = orthogonal_group(unit_space(F3, 3))
     space3, D3 = axes_decomposition(F3, 3)
     img = perm_image(G, D3)
-    assert img.order == 6 and transitivity(img)
+    assert img.order == 6 and img.is_transitive
 
 
 def test_perm_group_basics():
@@ -233,3 +241,93 @@ def test_perm_group_basics():
     d5 = PermGroup.dihedral(5)
     assert d5.order == 10 and d5.is_solvable()
     assert not PermGroup(4, [(1, 0, 2, 3)]).is_transitive
+
+
+# -- reference: Dimino's coset closure, the matrix closure this package used
+# before the batched breadth-first one, kept verbatim ---------------------
+
+def dimino(gens, identity, bound=DEFAULT_BOUND):
+    """Full element list of <gens> by Dimino's inductive coset algorithm.
+
+    Elements must be hashable and support @ for the group operation.
+    """
+    elements = [identity]
+    index = {identity}
+
+    def push(x):
+        elements.append(x)
+        index.add(x)
+        if len(elements) > bound:
+            raise BoundExceeded(f"group exceeds bound {bound}")
+
+    if not gens:
+        return elements
+    g = gens[0]
+    x = g
+    while x != identity:
+        push(x)
+        x = x @ g
+    for i in range(1, len(gens)):
+        s = gens[i]
+        if s in index:
+            continue
+        # right cosets H y of the previous subgroup H: testing the leader's
+        # products y t suffices since (h y) t = h (y t) stays in H (y t)
+        prev_order = len(elements)
+        push(s)
+        for j in range(1, prev_order):
+            push(elements[j] @ s)
+        rep_pos = prev_order
+        while rep_pos < len(elements):
+            rep = elements[rep_pos]
+            for t in gens[:i + 1]:
+                y = rep @ t
+                if y not in index:
+                    push(y)
+                    for j in range(1, prev_order):
+                        push(elements[j] @ y)
+            rep_pos += prev_order
+    return elements
+
+
+def closure_cases():
+    """(field, generator list) pairs: the cyclic group of the rotation of
+    largest order among R_0 R_i (i <= 81), the dihedral group <R_0, R_i>,
+    three reflections, three reflections generating all of O_3(q) except for
+    q = 7, and every reflection (all 625 over GF(25) would take tens of
+    seconds)."""
+    for F in (F5, F7, GF(3, 2), GF(5, 2)):
+        R = [reflection(unit_space(F, 3), v)
+             for v in anisotropic_lines(unit_space(F, 3))]
+        i = max(range(1, min(len(R), 82)),
+                key=lambda i: element_order(R[0] @ R[i]))
+        yield F, [R[0] @ R[i]]
+        yield F, [R[0], R[i]]
+        yield F, R[:3]
+        yield F, [R[0], R[i], R[-1]]
+        if F.q < 25:
+            yield F, R
+
+
+def test_closure_matches_dimino(monkeypatch):
+    blocks = (group.BLOCK, 64)
+    orders = []
+    for F, gens in closure_cases():
+        eye = Matrix.identity(F, 3)
+        ref = dimino(gens, eye)
+        orders.append(len(ref))
+        # a block of 64 products slices every generation of more than 64
+        # products (O_3(25) is sliced at the full block size too)
+        for block in blocks:
+            monkeypatch.setattr(group, "BLOCK", block)
+            G = MatrixGroup(gens, bound=len(ref))
+            assert G.elements == (eye,) + tuple(
+                sorted(ref[1:], key=lambda m: m._key))
+            seen = closure(gens, bound=len(ref))
+            assert set(seen) == {m._key[2] for m in ref}
+            assert all(key == m.tobytes() for key, m in seen.items())
+            with pytest.raises(BoundExceeded):
+                closure(gens, bound=len(ref) - 1)
+    # the cases reach cyclic, dihedral and whole orthogonal groups
+    assert orders[:5] == [6, 12, 8, 240, 240]
+    assert 31200 in orders

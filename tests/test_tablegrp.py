@@ -126,19 +126,6 @@ def test_brute_force_guard():
         ct.all_subgroup_classes(limit=10)
 
 
-def test_dimino_matches_batched_closure():
-    # regression: dimino against the batched prime-field closure on the same
-    # generating sets (the two paths must produce identical element sets)
-    from orthomono.group import _mulclose_prime, dimino
-    space = QuadraticSpace(F5, Matrix.identity(F5, 3))
-    G = orthogonal_group(space)
-    for take in (2, 3, 5, len(G.gens)):
-        gens = G.gens[:take]
-        via_dimino = {m._key for m in dimino(gens, G.identity)}
-        raw = _mulclose_prime(F5, [g.a for g in gens], 3, 10 ** 6)
-        via_batched = {Matrix(F5, m)._key for m in raw}
-        assert via_dimino == via_batched
-
 # -- reference implementations: the straightforward versions of the table
 # kernel, kept to hold the fast paths to exactly the same results ----------
 

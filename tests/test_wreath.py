@@ -8,10 +8,17 @@ from orthomono.errors import (
 )
 from orthomono.field import GF
 from orthomono.form import QuadraticSpace
-from orthomono.group import MatrixGroup, PermGroup, orthogonal_group
+from orthomono.group import (
+    DEFAULT_BOUND,
+    MatrixGroup,
+    PermGroup,
+    orthogonal_group,
+)
 from orthomono.linalg import Matrix
 from orthomono.modrep import is_irreducible
+from orthomono.tablegrp import CayleyTable
 from orthomono.wreath import (
+    MaximalityResult,
     char2_rejection,
     conjugate_into_wreath,
     gamma_l1,
@@ -88,7 +95,6 @@ def test_transitive_solvable_n5():
 
 def test_transitive_solvable_n5_against_brute_force():
     # independent oracle: brute-force subgroup enumeration of S5
-    from orthomono.tablegrp import CayleyTable
     S = PermGroup.symmetric(5)
     ct = CayleyTable.from_perm_group(S)
     els = S.enumerate()
@@ -155,6 +161,68 @@ def test_maximality_big_path_agrees_at_small_scale():
     Wc3 = wreath_construct(PermGroup.cyclic(3), unit_space(F5, 3))
     res = maximality_check_big(Wc3)
     assert not res.maximal and res.counterexample.order == 48
+
+
+def maximality_check_every_x(W, bound=DEFAULT_BOUND):
+    """Reference sweep: closes <W, x> for every x outside W in increasing
+    order, with no double-coset skip."""
+    ambient = orthogonal_group(W.space, bound=bound)
+    ct = CayleyTable.from_matrix_group(ambient)
+    els = ambient.enumerate()
+    member = np.zeros(ct.n, dtype=bool)
+    for g in W.group.enumerate():
+        member[ambient.index_of(g)] = True
+    wgen_idx = [ambient.index_of(g) for g in W.group.gens]
+    seen_closures = set()
+    for x in range(ct.n):
+        if member[x]:
+            continue
+        K = ct.closure(wgen_idx + [x])
+        key = (len(K), K.tobytes())
+        if key in seen_closures:
+            continue
+        seen_closures.add(key)
+        if not ct.is_solvable_set(K):
+            continue
+        gens = [els[i] for i in ct.subgroup_generators(K)]
+        overgroup = MatrixGroup(gens, space=W.space, bound=bound)
+        if is_irreducible(overgroup):
+            return MaximalityResult(False, overgroup)
+    return MaximalityResult(True)
+
+
+def sweep_with_closures(monkeypatch, sweep, W):
+    """(result, set of distinct subgroups the sweep closed in the table)."""
+    closed = set()
+    original = CayleyTable.closure
+
+    def spy(self, seeds):
+        K = original(self, seeds)
+        closed.add(K.tobytes())
+        return K
+
+    with monkeypatch.context() as m:
+        m.setattr(CayleyTable, "closure", spy)
+        return sweep(W), closed
+
+
+@pytest.mark.parametrize("F", [F5, F7, GF(3, 2)], ids=str)
+def test_double_coset_sweep_matches_every_x_sweep(monkeypatch, F):
+    verdicts = []
+    for K in (PermGroup.symmetric(3), PermGroup.cyclic(3)):
+        W = wreath_construct(K, unit_space(F, 3))
+        fast, fast_closed = sweep_with_closures(
+            monkeypatch, maximality_check, W)
+        ref, ref_closed = sweep_with_closures(
+            monkeypatch, maximality_check_every_x, W)
+        assert fast.maximal == ref.maximal
+        if not ref.maximal:
+            assert set(fast.counterexample.enumerate()) == \
+                set(ref.counterexample.enumerate())
+        # a skipped x closes to a subgroup an earlier x already gave
+        assert fast_closed == ref_closed
+        verdicts.append(ref.maximal)
+    assert verdicts == [True, False]  # S_3 maximal, C_3 not
 
 
 def test_uniqueness_oracle_counts():
