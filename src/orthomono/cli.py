@@ -1,13 +1,9 @@
 """Command-line surface: parse group/form files, run the pipeline, emit
 certificates and verification reports.
 
-Exit codes are a total function of the failure class:
-  0  success
-  1  parse error
-  2  a hypothesis of the main results fails (reason line printed)
-  3  internal invariant violation (impossible for valid inputs) or a
-     certificate that fails verification
-  4  a configured resource bound was exceeded
+Exit codes: 0 on success; a failure prints the reason line and exits with
+the code of its error's family, as listed in errors.py.  An unreadable
+input file exits 1 and a certificate that fails verification exits 3.
 
 Group file grammar (line oriented, '#' starts a comment):
 
@@ -24,27 +20,11 @@ parentheses, e.g. (1 2) for 1 + 2x.
 """
 
 import argparse
+import functools
 import sys
 
-from .errors import (
-    AlgebraError,
-    BoundExceeded,
-    CertificateCheckFailed,
-    CharacteristicTwo,
-    DegenerateForm,
-    DimensionMismatch,
-    EvenDimension,
-    HypothesisViolated,
-    InvariantViolation,
-    NonScalarForm,
-    NotAbelian,
-    NotCoprime,
-    NotIsometry,
-    NotSemisimple,
-    ParityViolation,
-    ParseError,
-    TooLarge,
-)
+from .errors import AlgebraError, EvenDimension, HypothesisViolated, \
+    ParseError, TooLarge
 from .field import GF, POLICY_MAX_Q, FieldSpec, prime_factors
 from .form import QuadraticSpace
 from .group import MatrixGroup, PermGroup, orthogonal_group
@@ -57,66 +37,51 @@ from .wreath import maximality_check, maximality_check_big, \
 
 EXIT_OK = 0
 EXIT_PARSE = 1
-EXIT_HYPOTHESIS = 2
 EXIT_INVARIANT = 3
-EXIT_BOUND = 4
-
-_HYPOTHESIS_ERRORS = (HypothesisViolated, CharacteristicTwo, DegenerateForm,
-                      EvenDimension, NotIsometry, NonScalarForm,
-                      DimensionMismatch)
-_INVARIANT_ERRORS = (InvariantViolation, ParityViolation, NotSemisimple,
-                     NotCoprime, NotAbelian, CertificateCheckFailed)
-_BOUND_ERRORS = (BoundExceeded, TooLarge)
 
 
-def _reason_of(exc):
-    if isinstance(exc, HypothesisViolated):
-        return exc.reason
-    if isinstance(exc, CharacteristicTwo):
-        return "characteristic 2"
-    if isinstance(exc, EvenDimension):
-        return "dimension even"
-    if isinstance(exc, DegenerateForm):
-        return "degenerate form"
-    if isinstance(exc, NotIsometry):
-        return "not isometries"
-    if isinstance(exc, DimensionMismatch):
-        return "dimension mismatch"
-    if isinstance(exc, NonScalarForm):
-        return "non-scalar form"
-    return type(exc).__name__
+def exit_by_family(cmd):
+    """Run the command `cmd(args, out)`; an AlgebraError it raises prints
+    its family's reason lines to `out` and returns the family's exit code."""
+    @functools.wraps(cmd)
+    def run(args, out=sys.stdout):
+        try:
+            return cmd(args, out)
+        except AlgebraError as exc:
+            code, lines = exc.report(getattr(args, "explain", False))
+            print(*lines, sep="\n", file=out)
+            return code
+    return run
 
 
 # ---------------------------------------------------------------------------
 # group files
 
 
+def _ints(tokens, lineno, what):
+    """The integers written as `tokens` on line `lineno`."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad {what} "
+                         f"{' '.join(tokens)!r}") from None
+
+
 def _tokenize_entries(text, lineno):
     """Split a row into entries, honoring parenthesized tuples."""
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            j = text.find(")", i)
-            if j < 0:
+    rest = text.lstrip()
+    while rest:
+        if rest.startswith("("):
+            inner, paren, rest = rest[1:].partition(")")
+            if not paren:
                 raise ParseError(f"line {lineno}: unbalanced parenthesis")
-            inner = text[i + 1:j].split()
-            out.append(tuple(int(t) for t in inner))
-            i = j + 1
+            out.append(tuple(_ints(inner.split(), lineno, "entry")))
         else:
-            j = i
-            while j < len(text) and not text[j].isspace():
-                j += 1
-            tok = text[i:j]
-            try:
-                out.append(int(tok))
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad entry {tok!r}")
-            i = j
+            tok = rest.split(None, 1)[0]
+            out += _ints([tok], lineno, "entry")
+            rest = rest[len(tok):]
+        rest = rest.lstrip()
     return out
 
 
@@ -163,7 +128,7 @@ def parse_group_file(text):
     modulus = None
     if peek()[1].startswith("modulus"):
         lineno, mod_line = take()
-        modulus = [int(t) for t in mod_line.split()[1:]]
+        modulus = _ints(mod_line.split()[1:], lineno, "modulus")
         if len(modulus) != k + 1:
             raise ParseError(f"line {lineno}: modulus needs k+1 coefficients")
     field = FieldSpec(p, k, modulus=modulus) if modulus is not None \
@@ -174,6 +139,8 @@ def parse_group_file(text):
     try:
         n = int(dim_line.split()[1])
     except (IndexError, ValueError):
+        n = 0
+    if n < 1:
         raise ParseError(f"line {lineno}: bad dimension")
 
     def read_rows(tag):
@@ -272,36 +239,18 @@ def _field_of_order(q):
     return GF(p, k)
 
 
+@exit_by_family
 def cmd_analyze(args, out=sys.stdout):
     try:
         text = open(args.path).read()
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=out)
         return EXIT_PARSE
-    try:
-        field, space, gens = parse_group_file(text)
-        G = MatrixGroup(gens, space=None if args.no_form else space,
-                        bound=args.bound)
-        cert = monomialize(G, space)
-        report = check_certificate(cert, G)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return EXIT_PARSE
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {_reason_of(exc)}", file=out)
-        if args.explain:
-            print(f"detail: {exc}", file=out)
-        return EXIT_HYPOTHESIS
-    except _BOUND_ERRORS as exc:
-        print(f"bound exceeded: {exc}", file=out)
-        return EXIT_BOUND
-    except _INVARIANT_ERRORS as exc:
-        print(f"invariant violation: {exc}", file=out)
-        return EXIT_INVARIANT
-    except AlgebraError as exc:
-        # belongs to no family above: reported, never a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=out)
-        return EXIT_INVARIANT
+    field, space, gens = parse_group_file(text)
+    G = MatrixGroup(gens, space=None if args.no_form else space,
+                    bound=args.bound)
+    cert = monomialize(G, space)
+    report = check_certificate(cert, G)
     doc = write_certificate(cert, report.ok)
     if args.output:
         with open(args.output, "w") as fh:
@@ -315,25 +264,17 @@ def cmd_analyze(args, out=sys.stdout):
     return EXIT_OK
 
 
+@exit_by_family
 def cmd_check_theorem(args, out=sys.stdout):
     n, q = args.n, args.q
     if n % 2 == 0:
-        print("error: dimension even", file=out)
-        return EXIT_HYPOTHESIS
-    try:
-        field = _field_of_order(q)
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {_reason_of(exc)}", file=out)
-        return EXIT_HYPOTHESIS
-    except _BOUND_ERRORS as exc:
-        print(f"bound exceeded: {exc}", file=out)
-        return EXIT_BOUND
+        raise EvenDimension(f"n = {n}")
+    field = _field_of_order(q)
     space = QuadraticSpace(field, Matrix.identity(field, n))
     ambient = orthogonal_group(space, bound=args.bound)
     if ambient.order > 5000:
-        print(f"bound exceeded: ambient order {ambient.order} too large for "
-              "the subgroup sweep", file=out)
-        return EXIT_BOUND
+        raise TooLarge(f"ambient order {ambient.order} too large for the "
+                       "subgroup sweep")
     ct = CayleyTable.from_matrix_group(ambient)
     els = ambient.enumerate()
     classes = ct.solvable_subgroup_classes()
@@ -379,28 +320,22 @@ def _parse_kspec(spec, n):
         return best[-1].group
     gens = []
     for part in spec.split(";"):
-        images = tuple(int(t) for t in part.split(","))
-        if sorted(images) != list(range(n)):
-            raise ParseError(f"bad permutation spec {part!r}")
+        try:
+            images = tuple(int(t) for t in part.split(","))
+            if sorted(images) != list(range(n)):
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"bad permutation spec {part!r}") from None
         gens.append(images)
     return PermGroup(n, gens)
 
 
+@exit_by_family
 def cmd_wreath(args, out=sys.stdout):
-    try:
-        field = _field_of_order(args.q)
-        space = QuadraticSpace(field, Matrix.identity(field, args.n))
-        K = _parse_kspec(args.kspec, args.n)
-        W = wreath_construct(K, space)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return EXIT_PARSE
-    except _BOUND_ERRORS as exc:
-        print(f"bound exceeded: {exc}", file=out)
-        return EXIT_BOUND
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {_reason_of(exc)}", file=out)
-        return EXIT_HYPOTHESIS
+    field = _field_of_order(args.q)
+    space = QuadraticSpace(field, Matrix.identity(field, args.n))
+    K = _parse_kspec(args.kspec, args.n)
+    W = wreath_construct(K, space, bound=args.bound)
     doc = write_group_file(
         W.space, W.group.gens,
         header=f"signed permutations over {args.kspec} on {args.n} points, "
@@ -414,17 +349,11 @@ def cmd_wreath(args, out=sys.stdout):
     return EXIT_OK
 
 
+@exit_by_family
 def cmd_maximal(args, out=sys.stdout):
     n, q = args.n, args.q
-    try:
-        field = _field_of_order(q)
-        classes = transitive_solvable_subgroups(n)
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {_reason_of(exc)}", file=out)
-        return EXIT_HYPOTHESIS
-    except _BOUND_ERRORS as exc:
-        print(f"bound exceeded: {exc}", file=out)
-        return EXIT_BOUND
+    field = _field_of_order(q)
+    classes = transitive_solvable_subgroups(n)
     print(f"transitive solvable classes of S_{n}:", file=out)
     for t in classes:
         flag = " (maximal)" if t.maximal else ""
@@ -439,11 +368,7 @@ def cmd_maximal(args, out=sys.stdout):
         if not t.maximal:
             continue
         W = wreath_construct(t.group, space)
-        try:
-            res = check(W, bound=args.bound)
-        except _BOUND_ERRORS as exc:
-            print(f"bound exceeded: {exc}", file=out)
-            return EXIT_BOUND
+        res = check(W, bound=args.bound)
         verdict = "maximal" if res.maximal else \
             f"NOT maximal (overgroup of order {res.counterexample.order})"
         print(f"  wreath over order-{t.order} class in O_{n}({q}): {verdict}",
@@ -463,6 +388,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="certificate for a group file")
+    a.set_defaults(cmd=cmd_analyze)
     a.add_argument("path")
     a.add_argument("--no-form", action="store_true",
                    help="skip the isometry validation at parse time")
@@ -472,10 +398,12 @@ def build_parser():
 
     t = sub.add_parser("check-theorem",
                        help="sweep all solvable irreducible subgroups")
+    t.set_defaults(cmd=cmd_check_theorem)
     t.add_argument("n", type=int)
     t.add_argument("q", type=int)
 
     w = sub.add_parser("wreath", help="emit a signed-permutation group file")
+    w.set_defaults(cmd=cmd_wreath)
     w.add_argument("n", type=int)
     w.add_argument("q", type=int)
     w.add_argument("kspec",
@@ -485,6 +413,7 @@ def build_parser():
     m = sub.add_parser("maximal",
                        help="classify maximal transitive solvable groups "
                             "and verify wreath maximality")
+    m.set_defaults(cmd=cmd_maximal)
     m.add_argument("n", type=int)
     m.add_argument("q", type=int)
     m.add_argument("--long", action="store_true",
@@ -493,15 +422,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "analyze": cmd_analyze,
-        "check-theorem": cmd_check_theorem,
-        "wreath": cmd_wreath,
-        "maximal": cmd_maximal,
-    }
-    return handlers[args.command](args)
+    args = build_parser().parse_args(argv)
+    return args.cmd(args)
 
 
 def main_entry():

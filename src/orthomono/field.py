@@ -22,6 +22,7 @@ from .errors import (
     CharacteristicTwo,
     DivisionByZero,
     FieldMismatch,
+    HypothesisViolated,
     NoEmbedding,
     ZeroInput,
 )
@@ -73,7 +74,7 @@ class FieldSpec:
 
     def __init__(self, p, k=1, modulus=None, base=None):
         if not is_prime(p):
-            raise AlgebraError(f"p = {p} is not prime")
+            raise HypothesisViolated(f"p = {p} is not prime")
         if p == 2:
             raise CharacteristicTwo(
                 "characteristic 2 rejected: in odd dimension the bilinear "

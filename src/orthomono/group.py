@@ -17,6 +17,7 @@ from .errors import (
     NotIsometry,
     TrivialGroup,
 )
+from .field import GF
 from .form import anisotropic_lines, is_isometry, validate_decomposition
 from .linalg import Matrix, kernel
 
@@ -380,40 +381,10 @@ class PermGroup:
         return len(orbit) == self.degree
 
     def is_solvable(self):
-        """Derived series on permutations."""
-        cur = list(self.gens)
-        cur_set = set(self.enumerate())
-        while True:
-            if cur_set == {self.identity}:
-                return True
-            seeds = set()
-            for i, a in enumerate(cur):
-                for b in cur[i + 1:]:
-                    c = self.compose(self.invert(a),
-                                     self.compose(self.invert(b),
-                                                  self.compose(a, b)))
-                    if c != self.identity:
-                        seeds.add(c)
-            if not seeds:
-                return True
-            closure = set(seeds)
-            frontier = list(seeds)
-            conj_by = list(cur) + [self.invert(g) for g in cur]
-            while frontier:
-                nxt = []
-                for s in frontier:
-                    for g in conj_by:
-                        t = self.compose(g, self.compose(s, self.invert(g)))
-                        if t not in closure:
-                            closure.add(t)
-                            nxt.append(t)
-                frontier = nxt
-            sub = PermGroup(self.degree, sorted(closure))
-            sub_set = set(sub.enumerate())
-            if sub_set == cur_set:
-                return False
-            cur = list(sub.gens)
-            cur_set = sub_set
+        """Solvability of the permutation matrices over GF(3), a faithful
+        image of the group."""
+        return is_solvable(
+            MatrixGroup([perm_matrix(GF(3), g) for g in self.gens]))
 
     def __contains__(self, p):
         return tuple(p) in set(self.enumerate())

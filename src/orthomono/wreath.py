@@ -63,9 +63,10 @@ def _scalar_of(space):
     return c
 
 
-def wreath_construct(K, space):
+def wreath_construct(K, space, bound=DEFAULT_BOUND):
     """The wreath group over K: all diagonal sign changes together with K's
-    permutation matrices, enumerated and checked to have order 2^n |K|."""
+    permutation matrices, enumerated (at most `bound` elements) and checked
+    to have order 2^n |K|."""
     _scalar_of(space)
     F = space.field
     n = space.n
@@ -78,7 +79,8 @@ def wreath_construct(K, space):
         gens.append(Matrix.diag(F, d))
     for p in K.gens:
         gens.append(perm_matrix(F, p))
-    group = MatrixGroup(gens, space=space, name=f"O1wr{K.name or 'K'}")
+    group = MatrixGroup(gens, space=space, bound=bound,
+                        name=f"O1wr{K.name or 'K'}")
     expected = (2 ** n) * K.order
     if group.order != expected:
         raise InvariantViolation(

@@ -1,6 +1,9 @@
 import io
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthomono.cli import parse_group_file, write_group_file
 from orthomono.errors import ParseError
@@ -319,3 +322,154 @@ def test_q_over_the_field_policy_bound_exits_4():
     assert code == 4
     assert output.splitlines() == \
         ["bound exceeded: field size 65537 exceeds policy bound 2^16"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bound", "10", "check-theorem", "3", "3"],
+    ["--bound", "10", "maximal", "3", "3"],
+    ["--bound", "10", "wreath", "3", "3", "S"],
+])
+def test_bound_exceeded_in_every_command(argv):
+    # regression: check-theorem ended in a BoundExceeded traceback, and
+    # wreath ignored --bound
+    code, output = run(argv)
+    assert code == 4
+    assert output.splitlines()[-1] == "bound exceeded: group exceeds bound 10"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("field p=3 k=2\ndim 1\ngram\n(1 0)\ngen\n(2 y)\n",
+     "parse error: line 6: bad entry '2 y'"),
+    ("field p=3 k=2\nmodulus 1 x 1\ndim 1\ngram\n(1 0)\ngen\n(2 0)\n",
+     "parse error: line 2: bad modulus '1 x 1'"),
+    ("field p=3 k=1\ndim 0\ngram\ngen\n", "parse error: line 2: bad dimension"),
+    ("field p=3 k=1\ndim -1\ngram\ngen\n",
+     "parse error: line 2: bad dimension"),
+], ids=["paren-entry", "modulus", "dim-0", "dim-negative"])
+def test_malformed_group_file_exits_1(tmp_path, text, line):
+    # regression: each ended in a ValueError traceback
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    code, output = run(["analyze", str(path)])
+    assert code == 1
+    assert output.splitlines() == [line]
+
+
+@pytest.mark.parametrize("kspec, part", [("1,2,x", "1,2,x"), ("S;", "S")])
+def test_malformed_kspec_exits_1(kspec, part):
+    # regression: a non-integer image ended in a ValueError traceback
+    code, output = run(["wreath", "3", "3", kspec])
+    assert code == 1
+    assert output.splitlines() == [f"parse error: bad permutation spec {part!r}"]
+
+
+def test_non_prime_field_exits_2(tmp_path):
+    # regression: exited 3 as "error: AlgebraError: p = 4 is not prime"
+    path = tmp_path / "p4.grp"
+    path.write_text("field p=4 k=1\ndim 1\ngram\n1\ngen\n1\n")
+    code, output = run(["analyze", str(path)])
+    assert code == 2
+    assert output.splitlines() == ["error: p = 4 is not prime"]
+
+
+def test_no_suitable_word_is_a_bound(tmp_path):
+    # regression: the line-count bound of the irreducibility search exited 3
+    n = 9
+    rows = ["\n".join(" ".join(str(c if i == j else 0) for j in range(n))
+                      for i in range(n)) for c in (1, 6)]
+    path = tmp_path / "minus_identity.grp"
+    path.write_text(f"field p=7 k=1\ndim {n}\ngram\n{rows[0]}\n"
+                    f"gen\n{rows[1]}\n")
+    code, output = run(["analyze", str(path)])
+    assert code == 4
+    assert output.splitlines() == [
+        "bound exceeded: no nullity-one word and 6725601 lines exceed the "
+        "bound"]
+
+
+# -- property: every input ends in an exit code in 0-4, never a traceback --
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+# dimensions, field orders and element bounds stay small so that no input
+# runs long (check-theorem 5 9 lists 7381 reflections before any bound
+# applies, maximal 7 classifies S_7), and --long is left out; a negative
+# dimension still ends in a numpy traceback and is left out too
+ORDERS = st.sampled_from([0, 1, 2, 3, 4, 5, 9, 15, 65537])
+BOUNDS = st.integers(-1, 300).map(str)
+KSPECS = st.one_of(st.sampled_from(["S", "C", "D", "max", "1,2,0", "1,0;"]),
+                   st.text("0123,;Sx", max_size=8))
+COMMANDS = st.one_of(
+    st.tuples(st.just("check-theorem"), st.integers(0, 4), ORDERS),
+    st.tuples(st.just("maximal"), st.integers(0, 6), ORDERS),
+    st.tuples(st.just("wreath"), st.integers(0, 5), ORDERS, KSPECS))
+
+
+@FUZZ
+@given(bound=BOUNDS, command=COMMANDS)
+def test_random_argv_exits_with_a_code(bound, command):
+    code, _ = run(["--bound", bound] + [str(a) for a in command])
+    assert type(code) is int and 0 <= code <= 4
+
+
+# the signed permutations of three points over GF(9), written with an
+# explicit modulus and two-coordinate entries
+W3_GF9_FILE = """\
+field p=3 k=2
+modulus 1 0 1
+dim 3
+gram
+(1 0) (0 0) (0 0)
+(0 0) (1 0) (0 0)
+(0 0) (0 0) (1 0)
+gen
+(0 0) (1 0) (0 0)
+(1 0) (0 0) (0 0)
+(0 0) (0 0) (1 0)
+gen
+(0 0) (0 0) (1 0)
+(1 0) (0 0) (0 0)
+(0 0) (1 0) (0 0)
+gen
+(2 0) (0 0) (0 0)
+(0 0) (1 0) (0 0)
+(0 0) (0 0) (1 0)
+"""
+SEED_FILES = [O33_FILE, EVEN_FILE, SINGULAR_FILE, W3_GF9_FILE]
+TOKENS = ["0", "1", "2", "4", "-1", "x", "(1", "2)", "(2 y)", "(", ")", "dim",
+          "gram", "gen", "field", "modulus", "p=4", "k=0", "k=2", "#"]
+
+
+@st.composite
+def mutated_group_files(draw):
+    """A seed file after one to three mutations: a token dropped,
+    duplicated or replaced, or two lines swapped."""
+    lines = [line.split() for line in
+             draw(st.sampled_from(SEED_FILES)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, len(lines) - 1)), \
+            draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "replace", "swap"]))
+        if op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif lines[i]:
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            if op == "drop":
+                del lines[i][k]
+            elif op == "duplicate":
+                lines[i].insert(k, lines[i][k])
+            else:
+                lines[i][k] = draw(st.sampled_from(TOKENS))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@FUZZ
+@given(text=mutated_group_files(),
+       flags=st.lists(st.sampled_from(["--no-form", "--explain"]),
+                      unique=True))
+def test_mutated_group_file_exits_with_a_code(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mutated.grp"
+        path.write_text(text)
+        code, _ = run(["--bound", "2000", "analyze", str(path)] + flags)
+    assert type(code) is int and 0 <= code <= 4

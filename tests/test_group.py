@@ -241,6 +241,11 @@ def test_perm_group_basics():
     d5 = PermGroup.dihedral(5)
     assert d5.order == 10 and d5.is_solvable()
     assert not PermGroup(4, [(1, 0, 2, 3)]).is_transitive
+    assert PermGroup.symmetric(1).is_solvable()
+    assert PermGroup.symmetric(4).is_solvable()
+    a5 = PermGroup(5, [(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+    assert a5.order == 60 and not a5.is_solvable()
+    assert not PermGroup.symmetric(6).is_solvable()
 
 
 # -- reference: Dimino's coset closure, the matrix closure this package used
