@@ -223,6 +223,14 @@ def write_certificate(cert, verified):
 # commands
 
 
+def _dimension(n):
+    """The dimension N given to check-theorem, wreath or maximal; N < 1 is
+    refused as a parse error."""
+    if n < 1:
+        raise ParseError(f"dimension {n} is not positive")
+    return n
+
+
 def _field_of_order(q):
     """GF(q) for a prime power q = p^k; any q with more or fewer than one
     prime divisor is refused (HypothesisViolated), as is one over the
@@ -266,7 +274,7 @@ def cmd_analyze(args, out=sys.stdout):
 
 @exit_by_family
 def cmd_check_theorem(args, out=sys.stdout):
-    n, q = args.n, args.q
+    n, q = _dimension(args.n), args.q
     if n % 2 == 0:
         raise EvenDimension(f"n = {n}")
     field = _field_of_order(q)
@@ -332,13 +340,14 @@ def _parse_kspec(spec, n):
 
 @exit_by_family
 def cmd_wreath(args, out=sys.stdout):
+    n = _dimension(args.n)
     field = _field_of_order(args.q)
-    space = QuadraticSpace(field, Matrix.identity(field, args.n))
-    K = _parse_kspec(args.kspec, args.n)
+    space = QuadraticSpace(field, Matrix.identity(field, n))
+    K = _parse_kspec(args.kspec, n)
     W = wreath_construct(K, space, bound=args.bound)
     doc = write_group_file(
         W.space, W.group.gens,
-        header=f"signed permutations over {args.kspec} on {args.n} points, "
+        header=f"signed permutations over {args.kspec} on {n} points, "
                f"GF({args.q}); order {W.group.order}")
     if args.output:
         with open(args.output, "w") as fh:
@@ -351,7 +360,7 @@ def cmd_wreath(args, out=sys.stdout):
 
 @exit_by_family
 def cmd_maximal(args, out=sys.stdout):
-    n, q = args.n, args.q
+    n, q = _dimension(args.n), args.q
     field = _field_of_order(q)
     classes = transitive_solvable_subgroups(n)
     print(f"transitive solvable classes of S_{n}:", file=out)

@@ -7,6 +7,17 @@ arithmetic; FieldElem is a thin operator-overloading wrapper used at API
 boundaries.  Polynomials, deterministic Berlekamp factorization, splitting
 fields and Frobenius orbits live here as well.
 
+For k = 1 every operation is integer arithmetic mod p.  For k > 1 a field
+holds O(q k) entries, built once: the (q, k) table of each index's digits,
+the digits of x^(i+j) mod the modulus for i, j < k, and the discrete
+logarithm and exponential to a primitive element.  Sums and differences
+work digit-wise.  Products, inverses and scalings add logarithms; zero's
+logarithm points into a run of zeros, so a product with zero needs no
+branch.  A matrix product folds A's digit planes by the digits of x^(i+j)
+into the k x k multiplication matrix of each entry, multiplies that by B's
+digit planes as one integer matrix product and reduces mod p once.  Every
+field size up to the policy bound takes this one path.
+
 Everything is deterministic: the modulus of GF(p^k) is the lexicographically
 least monic irreducible of degree k over GF(p), embeddings pick the smallest
 root, and factorization sweeps field elements in index order.
@@ -24,11 +35,10 @@ from .errors import (
     FieldMismatch,
     HypothesisViolated,
     NoEmbedding,
+    TooLarge,
     ZeroInput,
 )
 
-# Largest field size for which dense add/mul lookup tables are built.
-TABLE_MAX = 2048
 # Policy bound: larger fields are refused outright.
 POLICY_MAX_Q = 1 << 16
 
@@ -70,7 +80,8 @@ class FieldSpec:
     always realized over the prime field.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "base", "_tables")
+    __slots__ = ("p", "k", "q", "modulus", "base", "_digits", "_place",
+                 "_fold", "_log", "_exp")
 
     def __init__(self, p, k=1, modulus=None, base=None):
         if not is_prime(p):
@@ -80,9 +91,9 @@ class FieldSpec:
                 "characteristic 2 rejected: in odd dimension the bilinear "
                 "radical of a quadratic form is nonzero")
         if k < 1:
-            raise AlgebraError("extension degree must be >= 1")
+            raise HypothesisViolated(f"k = {k} is not a positive degree")
         if p ** k > POLICY_MAX_Q:
-            raise AlgebraError(f"field size {p}^{k} exceeds policy bound 2^16")
+            raise TooLarge(f"field size {p}^{k} exceeds policy bound 2^16")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -95,7 +106,8 @@ class FieldSpec:
         if base is not None and (base.p != p or k % base.k != 0):
             raise NoEmbedding(f"GF({base.q}) does not embed in GF({self.q})")
         self.base = base
-        self._tables = None
+        if k > 1:
+            self._build_arithmetic()
 
     # -- identity -------------------------------------------------------
 
@@ -179,30 +191,7 @@ class FieldSpec:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        if self._tables is not None:
-            return int(self._tables[1][a, b])
-        if a == 0 or b == 0:
-            return 0
-        return self._mul_ext(a, b)
-
-    def _mul_ext(self, a, b):
-        p, k = self.p, self.k
-        ca = self.coeffs(a)
-        cb = self.coeffs(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        mod = self.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(k):
-                    prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
-        return self.encode(prod[:k])
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def pow(self, a, e):
         if e < 0:
@@ -219,16 +208,12 @@ class FieldSpec:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self}")
-        if self.k > 1 and self._tables is not None:
-            return int(self._tables[3][a])
-        return self.pow(a, self.q - 2)
+        if self.k == 1:
+            return self.pow(a, self.q - 2)
+        return int(self._exp[self.q - 1 - self._log[a]])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def frob(self, a):
-        """Absolute Frobenius x -> x^p."""
-        return self.pow(a, self.p)
 
     def is_square(self, a):
         if a == 0:
@@ -245,77 +230,81 @@ class FieldSpec:
                 return b
         return None
 
-    # -- lookup tables and vectorized operations ---------------------------
+    # -- digit planes, logarithms and vectorized operations ----------------
 
-    def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
-        digits = np.zeros((q, k), dtype=np.int64)
-        idx = np.arange(q)
-        for j in range(k):
-            digits[:, j] = (idx // p ** j) % p
-        place = p ** np.arange(k)
-        add_t = np.empty((q, q), dtype=np.int32)
-        for i in range(q):
-            add_t[i] = ((digits + digits[i]) % p) @ place
-        neg_t = (((-digits) % p) @ place).astype(np.int32)
-        # multiplication via discrete logs
-        g = self._find_generator()
-        exp_t = np.empty(2 * (q - 1), dtype=np.int32)
-        log_t = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp_t[i] = x
-            log_t[x] = i
-            x = self._mul_ext(x, g)
-        exp_t[q - 1:] = exp_t[:q - 1]
-        mul_t = np.zeros((q, q), dtype=np.int32)
-        nz = np.arange(1, q)
-        mul_t[1:, 1:] = exp_t[log_t[nz][:, None] + log_t[nz][None, :]]
-        inv_t = np.zeros(q, dtype=np.int32)
-        inv_t[nz] = exp_t[(q - 1 - log_t[nz]) % (q - 1)]
-        self._tables = (add_t, mul_t, neg_t, inv_t)
+    def _build_arithmetic(self):
+        p, k, q = self.p, self.k, self.q
+        self._place = p ** np.arange(k, dtype=np.int64)
+        self._digits = (np.arange(q, dtype=np.int64)[:, None]
+                        // self._place) % p
+        # x^d modulo the modulus for d <= 2k - 2, one digit row each: shift
+        # x^(d-1) up and fold its top digit back through x^k = -(m_0 + ...)
+        low = np.array(self.modulus[:k], dtype=np.int64)
+        powers = np.zeros((2 * k - 1, k), dtype=np.int64)
+        powers[:k] = np.eye(k, dtype=np.int64)
+        for d in range(k, 2 * k - 1):
+            powers[d, 1:] = powers[d - 1, :-1]
+            powers[d] = (powers[d] - powers[d - 1, -1] * low) % p
+        # _fold[i, d k + j]: digit d of x^(i+j)
+        self._fold = powers[np.add.outer(np.arange(k), np.arange(k))] \
+            .transpose(0, 2, 1).reshape(k, k * k)
 
-    def _find_generator(self):
-        qm1 = self.q - 1
-        ells = prime_factors(qm1)
-        for g in range(2, self.q):
-            if all(self.pow(g, qm1 // ell) != 1 for ell in ells):
-                return g
-        raise AlgebraError("no multiplicative generator found")
+        def power(a, e):
+            """a^e for a 1 x 1 index matrix a."""
+            r = np.ones((1, 1), dtype=np.int32)
+            for bit in bin(e)[2:]:
+                r = self.mat_mul(r, r)
+                if bit == "1":
+                    r = self.mat_mul(r, a)
+            return r
 
-    @property
-    def tables(self):
-        if self._tables is None:
-            if self.q > TABLE_MAX:
-                raise AlgebraError(
-                    f"lookup tables unsupported for field size {self.q}")
-            self._build_tables()
-        return self._tables
+        # the first index that generates the multiplicative group (those
+        # below p are the prime field, of orders dividing p - 1), and its
+        # powers as a row, doubled from g^0 .. g^(m-1) by one product with
+        # g^m
+        ells = prime_factors(q - 1)
+        gm = next(a for a in np.arange(p, q).reshape(-1, 1, 1)
+                  if all(power(a, (q - 1) // ell)[0, 0] != 1 for ell in ells))
+        exp = np.ones((1, 1), dtype=np.int32)
+        while exp.shape[1] < q - 1:
+            exp, gm = np.concatenate([exp, self.mat_mul(gm, exp)], axis=1), \
+                self.mat_mul(gm, gm)
+        exp = exp[0, :q - 1]
+        self._log = np.empty(q, dtype=np.int64)
+        self._log[exp] = np.arange(q - 1)
+        # zero's logarithm sends every sum with it into the zero tail of _exp
+        self._log[0] = 2 * (q - 1)
+        self._exp = np.zeros(4 * q - 3, dtype=np.int32)
+        self._exp[:q - 1] = self._exp[q - 1:2 * (q - 1)] = exp
+
+    def _join(self, digits):
+        """Indices of the digit rows `digits` (last axis), taken mod p."""
+        return ((digits % self.p) @ self._place).astype(np.int32)
 
     def vadd(self, A, B):
         if self.k == 1:
             return (A + B) % self.p
-        return self.tables[0][A, B]
+        return self._join(self._digits[A] + self._digits[B])
 
     def vsub(self, A, B):
         if self.k == 1:
             return (A - B) % self.p
-        return self.tables[0][A, self.tables[2][B]]
+        return self._join(self._digits[A] - self._digits[B])
 
     def vneg(self, A):
         if self.k == 1:
             return (-A) % self.p
-        return self.tables[2][A]
+        return self._join(-self._digits[A])
 
     def vmul(self, A, B):
         if self.k == 1:
             return (A * B) % self.p
-        return self.tables[1][A, B]
+        return self._exp[self._log[A] + self._log[B]]
 
     def vscale(self, c, A):
         if self.k == 1:
             return (c * A) % self.p
-        return self.tables[1][c, A]
+        return self._exp[self._log[c] + self._log[A]]
 
     def mat_mul(self, A, B):
         """Matrix product of 2-D index arrays."""
@@ -323,18 +312,18 @@ class FieldSpec:
             return np.asarray(
                 (A.astype(np.int64) @ B.astype(np.int64)) % self.p,
                 dtype=np.int32)
-        add_t, mul_t = self.tables[0], self.tables[1]
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
-        for t in range(A.shape[1]):
-            out = add_t[out, mul_t[A[:, t][:, None], B[t, :][None, :]]]
-        return out
+        # by_a[r, t]: the matrix of multiplication by A[r, t] on digit rows,
+        # A's digit planes folded by the digits of x^(i+j); one integer
+        # product with B's digit planes then gives the digit planes of AB
+        (m, n), l, k = A.shape, B.shape[1], self.k
+        by_a = (self._digits[A] @ self._fold).reshape(m, n, k, k)
+        planes = by_a.transpose(0, 2, 1, 3).reshape(m * k, n * k) \
+            @ self._digits[B].transpose(0, 2, 1).reshape(n * k, l)
+        planes = np.remainder(planes, self.p, out=planes).reshape(m, k, l)
+        return (self._place @ planes).astype(np.int32)
 
     def mat_vec(self, A, v):
         return self.mat_mul(A, np.asarray(v, dtype=np.int32).reshape(-1, 1)
-                            ).reshape(-1)
-
-    def vec_mat(self, v, A):
-        return self.mat_mul(np.asarray(v, dtype=np.int32).reshape(1, -1), A
                             ).reshape(-1)
 
 
@@ -409,8 +398,7 @@ class FieldElem:
         if isinstance(other, FieldElem):
             return self.field == other.field and self.idx == other.idx
         if isinstance(other, int):
-            return self.idx == other % self.field.p if self.field.k == 1 \
-                else self.idx == other % self.field.p
+            return self.idx == other % self.field.p
         return NotImplemented
 
     def __hash__(self):
@@ -637,11 +625,11 @@ def _canonical_modulus(p, k):
 
 def _validate_modulus(p, k, modulus):
     if len(modulus) != k + 1 or modulus[-1] != 1:
-        raise AlgebraError("modulus must be monic of degree k")
+        raise HypothesisViolated("modulus is not monic of degree k")
     if k > 1:
         f = Poly(GF(p), modulus)
         if not _irreducible_by_powers(f):
-            raise AlgebraError(f"modulus {f} is reducible over GF({p})")
+            raise HypothesisViolated(f"modulus {f} is reducible over GF({p})")
 
 
 _FIELD_CACHE = {}
@@ -661,44 +649,9 @@ def GF(p, k=1, base=None):
 # factorization (deterministic Berlekamp)
 
 
-def _nullspace(rows, F):
-    """Basis (list of row tuples) of {x : M x = 0} for M given as a list of
-    row lists over F.  Local elimination, kept here to avoid importing the
-    matrix layer."""
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = F.neg(m[i][fc])
-        basis.append(tuple(vec))
-    return basis
-
-
 def _berlekamp_squarefree(f):
     """Irreducible factors of a monic squarefree f, deterministic."""
+    from .linalg import Matrix, kernel  # the matrix layer builds on this one
     F = f.field
     n = f.degree
     if n <= 1:
@@ -716,13 +669,12 @@ def _berlekamp_squarefree(f):
     for i in range(n):
         rows[i][i] = F.sub(rows[i][i], 1)
     # right kernel of the transpose = row vectors fixed by Frobenius
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    kernel = _nullspace(cols, F)
-    r = len(kernel)
+    fixed = kernel(Matrix(F, rows).T).basis
+    r = len(fixed)
     if r == 1:
         return [f]
     factors = [f]
-    for vec in kernel:
+    for vec in fixed:
         g = Poly(F, vec)
         if g.degree <= 0:
             continue

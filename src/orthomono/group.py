@@ -332,13 +332,6 @@ class PermGroup:
     def compose(p, q):
         return tuple(p[i] for i in q)
 
-    @staticmethod
-    def invert(p):
-        out = [0] * len(p)
-        for i, j in enumerate(p):
-            out[j] = i
-        return tuple(out)
-
     @property
     def identity(self):
         return tuple(range(self.degree))

@@ -182,13 +182,6 @@ class Matrix:
                     a[i] = F.vsub(a[i], F.vscale(f, a[c]))
         return FieldElem(F, d)
 
-    def trace(self):
-        F = self.field
-        t = 0
-        for i in range(min(self.a.shape)):
-            t = F.add(t, int(self.a[i, i]))
-        return FieldElem(F, t)
-
     def rank(self):
         return rref_array(self.field, self.a)[1]
 
@@ -271,9 +264,6 @@ class Subspace:
     def is_zero(self):
         return self.dim == 0
 
-    def basis_matrix(self):
-        return Matrix(self.field, self.basis)
-
     def image(self, g):
         """Image under the matrix g (acting on column vectors)."""
         rows = self.field.mat_mul(self.basis, g.a.T)
@@ -294,18 +284,6 @@ class Subspace:
     def pivots(self):
         """Pivot column of each RREF basis row."""
         return tuple(int(np.argmax(row != 0)) for row in self.basis)
-
-    def coords_of(self, v):
-        """Coordinates of v in the RREF basis (read off the pivot columns),
-        or None when v is outside the subspace."""
-        v = np.asarray(v)
-        coords = v[list(self.pivots)].astype(np.int32) if self.dim else \
-            np.zeros(0, dtype=np.int32)
-        lift = self.field.mat_mul(coords.reshape(1, -1), self.basis)[0] \
-            if self.dim else np.zeros(self.ambient_dim, dtype=np.int32)
-        if not np.array_equal(lift, v.astype(np.int32)):
-            return None
-        return coords
 
     def lift_rows(self, rows):
         """Map row vectors in basis coordinates back to the ambient space."""

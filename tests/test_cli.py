@@ -372,6 +372,38 @@ def test_non_prime_field_exits_2(tmp_path):
     assert output.splitlines() == ["error: p = 4 is not prime"]
 
 
+@pytest.mark.parametrize("head, body, code, line", [
+    ("field p=3 k=0", "1\ngen\n1", 2, "error: k = 0 is not a positive degree"),
+    ("field p=3 k=2\nmodulus 2 0 2", "(1 0)\ngen\n(2 0)", 2,
+     "error: modulus is not monic of degree k"),
+    ("field p=3 k=2\nmodulus 1 1 1", "(1 0)\ngen\n(2 0)", 2,
+     "error: modulus x^2 + x + 1 is reducible over GF(3)"),
+    ("field p=3 k=11", "1\ngen\n1", 4,
+     "bound exceeded: field size 3^11 exceeds policy bound 2^16"),
+    ("field p=3 k=8", "(1 0 0 0 0 0 0 0)\ngen\n(2 0 0 0 0 0 0 0)", 0,
+     "verified: true"),
+], ids=["k-0", "not-monic", "reducible", "k-11", "k-8"])
+def test_field_line_refusals_have_a_family(tmp_path, head, body, code, line):
+    # regression: each exited 3 as "error: AlgebraError: ...", k=8 with
+    # "lookup tables unsupported for field size 6561"
+    path = tmp_path / "field.grp"
+    path.write_text(f"{head}\ndim 1\ngram\n{body}\n")
+    got, output = run(["analyze", str(path)])
+    assert got == code
+    assert output.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-theorem", "{n}", "3"], ["wreath", "{n}", "3", "S"],
+    ["maximal", "{n}", "3"]], ids=["check-theorem", "wreath", "maximal"])
+@pytest.mark.parametrize("n", [-1, 0])
+def test_dimension_below_one_exits_1(argv, n):
+    # regression: a negative N ended in a numpy ValueError traceback
+    code, output = run([a.format(n=n) for a in argv])
+    assert code == 1
+    assert output.splitlines() == [f"parse error: dimension {n} is not positive"]
+
+
 def test_no_suitable_word_is_a_bound(tmp_path):
     # regression: the line-count bound of the irreducibility search exited 3
     n = 9
@@ -393,16 +425,15 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 # dimensions, field orders and element bounds stay small so that no input
 # runs long (check-theorem 5 9 lists 7381 reflections before any bound
-# applies, maximal 7 classifies S_7), and --long is left out; a negative
-# dimension still ends in a numpy traceback and is left out too
+# applies, maximal 7 classifies S_7), and --long is left out
 ORDERS = st.sampled_from([0, 1, 2, 3, 4, 5, 9, 15, 65537])
 BOUNDS = st.integers(-1, 300).map(str)
 KSPECS = st.one_of(st.sampled_from(["S", "C", "D", "max", "1,2,0", "1,0;"]),
                    st.text("0123,;Sx", max_size=8))
 COMMANDS = st.one_of(
-    st.tuples(st.just("check-theorem"), st.integers(0, 4), ORDERS),
-    st.tuples(st.just("maximal"), st.integers(0, 6), ORDERS),
-    st.tuples(st.just("wreath"), st.integers(0, 5), ORDERS, KSPECS))
+    st.tuples(st.just("check-theorem"), st.integers(-2, 4), ORDERS),
+    st.tuples(st.just("maximal"), st.integers(-2, 6), ORDERS),
+    st.tuples(st.just("wreath"), st.integers(-2, 5), ORDERS, KSPECS))
 
 
 @FUZZ
@@ -435,9 +466,13 @@ gen
 (0 0) (1 0) (0 0)
 (0 0) (0 0) (1 0)
 """
-SEED_FILES = [O33_FILE, EVEN_FILE, SINGULAR_FILE, W3_GF9_FILE]
+# the same group over GF(3^8), with the canonical modulus
+W3_GF6561_FILE = W3_GF9_FILE.replace("k=2\nmodulus 1 0 1", "k=8") \
+    .replace(")", " 0 0 0 0 0 0)")
+SEED_FILES = [O33_FILE, EVEN_FILE, SINGULAR_FILE, W3_GF9_FILE, W3_GF6561_FILE]
 TOKENS = ["0", "1", "2", "4", "-1", "x", "(1", "2)", "(2 y)", "(", ")", "dim",
-          "gram", "gen", "field", "modulus", "p=4", "k=0", "k=2", "#"]
+          "gram", "gen", "field", "modulus", "p=4", "k=0", "k=2", "k=8",
+          "k=11", "#"]
 
 
 @st.composite

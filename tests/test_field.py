@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from orthomono.errors import (
+    AlgebraError,
     CharacteristicTwo,
     DivisionByZero,
     FieldMismatch,
@@ -15,6 +17,7 @@ from orthomono.field import (
     is_square,
     poly_factor,
     poly_gcd,
+    prime_factors,
     splitting_field,
 )
 
@@ -72,14 +75,12 @@ def test_vector_ops_match_scalar_ops():
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
 def test_scalar_ops_through_tables_match_polynomial_arithmetic(p, k):
-    # mul and inv read the lookup tables once they exist; before, they run
-    # polynomial arithmetic modulo the field's modulus
-    F = FieldSpec(p, k)
-    assert F._tables is None
-    poly_mul = [[F.mul(a, b) for b in range(F.q)] for a in range(F.q)]
-    poly_inv = [F.inv(a) for a in range(1, F.q)]
-    assert F._tables is None
-    F.tables
+    # mul and inv read the logarithm tables; the reference field, before its
+    # lookup tables exist, runs polynomial arithmetic modulo the modulus
+    F, ref = FieldSpec(p, k), TableField(p, k)
+    poly_mul = [[ref.mul(a, b) for b in range(F.q)] for a in range(F.q)]
+    poly_inv = [ref.inv(a) for a in range(1, F.q)]
+    assert ref._tables is None
     assert [[F.mul(a, b) for b in range(F.q)]
             for a in range(F.q)] == poly_mul
     assert [F.inv(a) for a in range(1, F.q)] == poly_inv
@@ -87,6 +88,210 @@ def test_scalar_ops_through_tables_match_polynomial_arithmetic(p, k):
                for a in range(1, F.q))
     with pytest.raises(DivisionByZero):
         F.inv(0)
+
+
+# -- reference: the q x q lookup-table arithmetic this package used for
+# k > 1 before digit planes and logarithms, kept verbatim ------------------
+
+TABLE_MAX = 2048
+
+
+class TableField:
+    """GF(p^k) whose arithmetic reads dense add and mul tables; the index
+    codec comes from the FieldSpec."""
+
+    def __init__(self, p, k=1):
+        self.spec = FieldSpec(p, k)
+        self._tables = None
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def mul(self, a, b):
+        if self.k == 1:
+            return (a * b) % self.p
+        if self._tables is not None:
+            return int(self._tables[1][a, b])
+        if a == 0 or b == 0:
+            return 0
+        return self._mul_ext(a, b)
+
+    def _mul_ext(self, a, b):
+        p, k = self.p, self.k
+        ca = self.coeffs(a)
+        cb = self.coeffs(b)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(ca):
+            if x:
+                for j, y in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        # reduce modulo the monic modulus
+        mod = self.modulus
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d]
+            if c:
+                prod[d] = 0
+                for j in range(k):
+                    prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
+        return self.encode(prod[:k])
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        r = 1
+        b = a
+        while e:
+            if e & 1:
+                r = self.mul(r, b)
+            b = self.mul(b, b)
+            e >>= 1
+        return r
+
+    def inv(self, a):
+        if a == 0:
+            raise DivisionByZero(f"inverse of 0 in {self}")
+        if self.k > 1 and self._tables is not None:
+            return int(self._tables[3][a])
+        return self.pow(a, self.q - 2)
+
+    def _build_tables(self):
+        q, p, k = self.q, self.p, self.k
+        digits = np.zeros((q, k), dtype=np.int64)
+        idx = np.arange(q)
+        for j in range(k):
+            digits[:, j] = (idx // p ** j) % p
+        place = p ** np.arange(k)
+        add_t = np.empty((q, q), dtype=np.int32)
+        for i in range(q):
+            add_t[i] = ((digits + digits[i]) % p) @ place
+        neg_t = (((-digits) % p) @ place).astype(np.int32)
+        # multiplication via discrete logs
+        g = self._find_generator()
+        exp_t = np.empty(2 * (q - 1), dtype=np.int32)
+        log_t = np.zeros(q, dtype=np.int64)
+        x = 1
+        for i in range(q - 1):
+            exp_t[i] = x
+            log_t[x] = i
+            x = self._mul_ext(x, g)
+        exp_t[q - 1:] = exp_t[:q - 1]
+        mul_t = np.zeros((q, q), dtype=np.int32)
+        nz = np.arange(1, q)
+        mul_t[1:, 1:] = exp_t[log_t[nz][:, None] + log_t[nz][None, :]]
+        inv_t = np.zeros(q, dtype=np.int32)
+        inv_t[nz] = exp_t[(q - 1 - log_t[nz]) % (q - 1)]
+        self._tables = (add_t, mul_t, neg_t, inv_t)
+
+    def _find_generator(self):
+        qm1 = self.q - 1
+        ells = prime_factors(qm1)
+        for g in range(2, self.q):
+            if all(self.pow(g, qm1 // ell) != 1 for ell in ells):
+                return g
+        raise AlgebraError("no multiplicative generator found")
+
+    @property
+    def tables(self):
+        if self._tables is None:
+            if self.q > TABLE_MAX:
+                raise AlgebraError(
+                    f"lookup tables unsupported for field size {self.q}")
+            self._build_tables()
+        return self._tables
+
+    def vadd(self, A, B):
+        if self.k == 1:
+            return (A + B) % self.p
+        return self.tables[0][A, B]
+
+    def vsub(self, A, B):
+        if self.k == 1:
+            return (A - B) % self.p
+        return self.tables[0][A, self.tables[2][B]]
+
+    def vneg(self, A):
+        if self.k == 1:
+            return (-A) % self.p
+        return self.tables[2][A]
+
+    def vmul(self, A, B):
+        if self.k == 1:
+            return (A * B) % self.p
+        return self.tables[1][A, B]
+
+    def vscale(self, c, A):
+        if self.k == 1:
+            return (c * A) % self.p
+        return self.tables[1][c, A]
+
+    def mat_mul(self, A, B):
+        """Matrix product of 2-D index arrays."""
+        if self.k == 1:
+            return np.asarray(
+                (A.astype(np.int64) @ B.astype(np.int64)) % self.p,
+                dtype=np.int32)
+        add_t, mul_t = self.tables[0], self.tables[1]
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int32)
+        for t in range(A.shape[1]):
+            out = add_t[out, mul_t[A[:, t][:, None], B[t, :][None, :]]]
+        return out
+
+
+def _same(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (3, 4), (3, 6)])
+def test_arithmetic_matches_the_table_reference(p, k):
+    F, ref = GF(p, k), TableField(p, k)
+    rng = np.random.default_rng(p ** k)
+    A = np.arange(F.q, dtype=np.int32)
+    every = (A[:, None], A[None, :])
+    assert _same(F.vadd(*every), ref.vadd(*every))
+    assert _same(F.vsub(*every), ref.vsub(*every))
+    assert _same(F.vmul(*every), ref.vmul(*every))
+    assert _same(F.vneg(A), ref.vneg(A))
+    for c in (0, 1, *rng.integers(2, F.q, 4)):
+        assert _same(F.vscale(int(c), A), ref.vscale(int(c), A))
+    mul_t, inv_t = ref.tables[1], ref.tables[3]
+    rows = A if F.q <= 81 else rng.integers(0, F.q, 60)
+    assert [[F.mul(int(a), b) for b in range(F.q)] for a in rows] == \
+        mul_t[rows].tolist()
+    assert [F.inv(a) for a in range(1, F.q)] == inv_t[1:].tolist()
+    # products with every inner dimension up to 81, and one closure-shaped
+    # block; about a third of the entries are zero
+    shapes = [((4, n), (n, 3)) for n in range(1, 82)] + \
+        [((45, 9), (9, 549)), ((1, 5), (5, 1)), ((0, 3), (3, 2))]
+    for sa, sb in shapes:
+        X = rng.integers(0, F.q, sa) * (rng.random(sa) > 0.3)
+        Y = rng.integers(0, F.q, sb) * (rng.random(sb) > 0.3)
+        X, Y = X.astype(np.int32), Y.astype(np.int32)
+        assert _same(F.mat_mul(X, Y), ref.mat_mul(X, Y))
+
+
+@pytest.mark.parametrize("p,k", [(3, 7), (3, 8), (3, 10), (5, 6), (7, 5),
+                                 (17, 3), (251, 2)])
+def test_fields_over_the_old_table_cap_match_schoolbook_products(p, k):
+    # 2048 < q <= 2^16: the dense tables were refused here; schoolbook
+    # polynomial products are the oracle
+    F, ref = GF(p, k), TableField(p, k)
+    assert F.q > TABLE_MAX
+    rng = np.random.default_rng(F.q)
+    X = rng.integers(0, F.q, (4, 81)).astype(np.int32)
+    Y = rng.integers(0, F.q, (81, 3)).astype(np.int32)
+    X[0, :5] = Y[:5, 0] = 0
+    expect = np.zeros((4, 3), dtype=np.int32)
+    for i in range(4):
+        for j in range(3):
+            for t in range(81):
+                expect[i, j] = F.add(int(expect[i, j]),
+                                     ref._mul_ext(int(X[i, t]), int(Y[t, j])))
+    assert _same(F.mat_mul(X, Y), expect)
+    a, b = X[1], Y[:, 2]
+    assert F.vmul(a, b).tolist() == \
+        [ref._mul_ext(int(x), int(y)) for x, y in zip(a, b)]
+    assert F.vadd(a, b).tolist() == [F.add(int(x), int(y)) for x, y in zip(a, b)]
+    assert all(ref._mul_ext(int(x), F.inv(int(x))) == 1 for x in a if x)
 
 
 # --- polynomials ---------------------------------------------------------
@@ -325,3 +530,32 @@ def test_factor_fuzz_extension_fields():
                 for _ in range(e):
                     prod = prod * g
             assert prod == f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_matches_sympy(p):
+    # oracle: sympy's finite-field factorization of the same coefficients;
+    # products of random factors give repeated factors, and g(x^p) = g(x)^p
+    # a factor of zero derivative
+    galoistools = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    import random
+    rng = random.Random(p)
+    F = GF(p)
+    for _ in range(25):
+        f = Poly.const(F, rng.randrange(1, p))
+        for _ in range(rng.randint(1, 3)):
+            cs = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+            g = Poly(F, cs)
+            f = f * g if rng.random() < 0.6 else f * g * g
+        if rng.random() < 0.3:
+            spread = [0] * (p * (len(cs) - 1) + 1)
+            spread[::p] = cs
+            f = f * Poly(F, spread)
+        lead, factors = galoistools.gf_factor(
+            [int(c) for c in reversed(f.coeffs)], p, ZZ)
+        assert f.coeffs[-1] == int(lead)
+        assert poly_factor(f) and [(g.coeffs, e) for g, e in poly_factor(f)] \
+            == sorted(((tuple(int(c) for c in reversed(g)), e)
+                       for g, e in factors),
+                      key=lambda t: (len(t[0]), t[0]))
