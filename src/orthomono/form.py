@@ -157,17 +157,6 @@ class PermutationAction:
         self.decomposition = decomposition
         self.gen_perms = tuple(tuple(p) for p in gen_perms)
 
-    def perm_of(self, g):
-        """Permutation induced by an arbitrary matrix, or NotInvariant."""
-        D = self.decomposition
-        out = []
-        for part in D.parts:
-            j = D.index_of(part.image(g))
-            if j is None:
-                raise NotInvariant("element does not permute the parts")
-            out.append(j)
-        return tuple(out)
-
 
 def validate_decomposition(decomposition, group):
     """Check that every generator of the group permutes the parts; returns

@@ -4,9 +4,13 @@ Groups are given by generators and enumerated in full by one batched
 breadth-first closure (with a size bound) that serves every field; the
 element list is sorted by a canonical byte encoding, so element indices are
 reproducible across runs and independent of the closure strategy.  Derived
-series, normal closures, stabilizers and permutation images all work on the
-enumerated elements.
+series and normal closures work on the enumerated elements.  The setwise
+stabilizer of a part never enumerates G: Schreier generators from a
+transversal of the part's orbit give the stabilizer, which alone is
+enumerated.
 """
+
+import math
 
 import numpy as np
 
@@ -69,6 +73,14 @@ def closure(gens, bound=DEFAULT_BOUND):
 _mulclose_prime = closure
 
 
+def sorted_elements(gens, bound=DEFAULT_BOUND):
+    """Every element of <gens> as a tuple of Matrix: the identity first,
+    then the rest sorted by their canonical key."""
+    F = gens[0].field
+    eye, *rest = (Matrix(F, m) for m in closure(gens, bound).values())
+    return (eye,) + tuple(sorted(rest, key=lambda m: m._key))
+
+
 class MatrixGroup:
     """A finite subgroup of GL(n, F) given by generators, with cached full
     enumeration.  An attached QuadraticSpace forces all generators to be
@@ -114,10 +126,7 @@ class MatrixGroup:
     def enumerate(self):
         """Sorted tuple of all elements (identity first)."""
         if self._elements is None:
-            eye, *rest = (Matrix(self.field, m)
-                          for m in closure(self.gens, self.bound).values())
-            self._elements = (eye,) + tuple(sorted(rest,
-                                                   key=lambda m: m._key))
+            self._elements = sorted_elements(self.gens, self.bound)
             self._index = {m: i for i, m in enumerate(self._elements)}
         return self._elements
 
@@ -245,13 +254,6 @@ def is_abelian(G):
     return True
 
 
-def center(G):
-    els = G.enumerate()
-    central = [x for x in els
-               if all(x @ g == g @ x for g in G.gens)]
-    return MatrixGroup(central, space=G.space, bound=G.bound)
-
-
 def abelian_normal_term(G, series=None):
     """Last nontrivial derived-series term L: abelian, normal in G, and
     contained in [G, G] whenever G is non-abelian.  L is read from
@@ -280,14 +282,37 @@ def fixed_space(P):
 
 def setwise_stabilizer(G, decomposition, part_index):
     """{g in G : g(W_i) = W_i} as a MatrixGroup; requires the decomposition
-    to be G-invariant."""
-    validate_decomposition(decomposition, G)
-    part = decomposition.parts[part_index]
-    stab = [g for g in G.enumerate() if part.image(g) == part]
+    to be G-invariant.
+
+    Reads generators only: a breadth-first walk of the orbit of part i
+    under G.gens gives a transversal t_j (t_j W_i = W_j), and by Schreier's
+    lemma the elements t_{s(j)}^-1 s t_j, for s in G.gens and j in the
+    orbit, generate the stabilizer.  Its |G|/k elements are enumerated and
+    reduced greedily in canonical order, so the generators returned are
+    the same as a filter of G's sorted elements would give."""
+    perms = validate_decomposition(decomposition, G).gen_perms
+    transversal = {part_index: G.identity}
+    orbit = [part_index]
+    for j in orbit:
+        for s, perm in zip(G.gens, perms):
+            if perm[j] not in transversal:
+                transversal[perm[j]] = s @ transversal[j]
+                orbit.append(perm[j])
+    inverses = {j: t.inverse() for j, t in transversal.items()}
+    schreier = {}  # insertion-ordered set
+    for j in orbit:
+        for s, perm in zip(G.gens, perms):
+            h = inverses[perm[j]] @ s @ transversal[j]
+            if not h.is_identity():
+                schreier[h] = None
+    stab = sorted_elements(list(schreier) or [G.identity], G.bound)
     small = reduce_generators(stab, G.identity)
     H = MatrixGroup(small or [G.identity], space=G.space, bound=G.bound)
     if H.order != len(stab):
         raise AlgebraError("stabilizer reduction lost elements")  # impossible
+    # orbit-stabilizer, whenever |G| is known without enumerating here
+    if G._elements is not None and len(stab) * len(orbit) != G.order:
+        raise AlgebraError("Schreier generators miss stabilizer elements")
     return H
 
 
@@ -413,9 +438,22 @@ def reflection(space, v):
     return Matrix(F, F.vsub(eye, F.vscale(c, outer)))
 
 
+def orthogonal_order(n, q):
+    """|O_n(q)| for odd n = 2m + 1, the same for every nondegenerate form:
+    2 q^(m^2) prod_{i <= m} (q^(2i) - 1)."""
+    m = n // 2
+    return 2 * q ** (m * m) * math.prod(q ** (2 * i) - 1
+                                        for i in range(1, m + 1))
+
+
 def orthogonal_group(space, bound=DEFAULT_BOUND):
     """The full isometry group O(V, Q), generated by all reflections in
-    anisotropic vectors (Cartan-Dieudonne) and enumerated."""
+    anisotropic vectors (Cartan-Dieudonne) and enumerated.  In odd
+    dimension its order is known in advance, so a group over the bound is
+    refused before any reflection is built."""
+    if space.n % 2 and space.is_nondegenerate \
+            and orthogonal_order(space.n, space.field.q) > bound:
+        raise BoundExceeded(f"group exceeds bound {bound}")
     gens = [reflection(space, v) for v in anisotropic_lines(space)]
     G = MatrixGroup(gens, space=space, bound=bound,
                     name=f"O{space.n}({space.field.q})")

@@ -210,9 +210,12 @@ def rref_array(F, a):
         inv = F.inv(int(a[r, c]))
         if inv != 1:
             a[r] = F.vscale(inv, a[r])
-        for i in range(nrows):
-            if i != r and a[i, c] != 0:
-                a[i] = F.vsub(a[i], F.vscale(int(a[i, c]), a[r]))
+        # clear column c outside row r in one step; skipped when there is
+        # nothing to clear, which is cheaper for the many one-row inputs
+        if nrows > 1 and np.count_nonzero(a[:, c]) > 1:
+            col = a[:, c:c + 1].copy()
+            col[r] = 0
+            a = F.vsub(a, F.vmul(col, a[r]))
         piv.append(c)
         r += 1
         if r == nrows:

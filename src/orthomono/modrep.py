@@ -5,11 +5,13 @@ natural module restricted to an abelian normal subgroup:
 
 * homogeneous_components: entirely over the base field, by refining along
   the Frobenius-fixed subalgebra of the enveloping algebra (whose fixed
-  points are spanned by the primitive idempotents);
+  points are spanned by the primitive idempotents), the algebra spun from
+  the generators of the group;
 * homogeneous_components_split: over a splitting field, by joint eigenspace
   refinement and Galois descent of orbit sums.
 
-They must agree; the test suite holds them against each other.  The module
+Both read only the generators of the group, never its element list.  They
+must agree; the test suite holds them against each other.  The module
 also carries spinning/irreducibility (nullity-one word search in the style
 of the Norton criterion, with an exhaustive line-spin fallback), single-
 element eigenspace analysis with Galois orbits, the inverse-eigenvalue
@@ -48,13 +50,20 @@ from .linalg import (
 
 
 def spin(v, G):
-    """Smallest G-invariant subspace containing v: close {v} under the
-    generators, reducing incrementally against the growing basis."""
-    F = G.field
-    n = G.dim
+    """Smallest G-invariant subspace containing v."""
     v = np.asarray(v, dtype=np.int32)
     if not v.any():
         raise ZeroVector("cannot spin the zero vector")
+    rows = _spin_rows(G.field, v, [g.a for g in G.gens])
+    return Subspace(G.field, G.dim, np.stack(rows))
+
+
+def _spin_rows(F, v, maps):
+    """Echelon rows spanning the smallest subspace that contains the
+    nonzero vector v and is closed under w -> m w for each array m in
+    `maps`: close {v} under the maps, reducing incrementally against the
+    growing basis."""
+    n = len(v)
     rows = []       # (pivot, normalized row)
     queue = []
 
@@ -74,14 +83,13 @@ def spin(v, G):
 
     first = insert(v)
     queue.append(first)
-    gen_arrays = [g.a for g in G.gens]
     while queue and len(rows) < n:
         w = queue.pop(0)
-        for ga in gen_arrays:
-            u = insert(F.mat_vec(ga, w))
+        for m in maps:
+            u = insert(F.mat_vec(m, w))
             if u is not None:
                 queue.append(u)
-    return Subspace(F, n, np.stack([r for _, r in rows]))
+    return [r for _, r in rows]
 
 
 @dataclass(frozen=True)
@@ -202,8 +210,11 @@ def _frobenius_fixed_basis(algebra):
 
 
 def _coprimality_guard(L):
+    """NotCoprime unless p = char F is prime to |L|.  For abelian L, |L|
+    and the orders of its generators have the same prime divisors, so the
+    generators decide it; L is enumerated only to explain a failure."""
     p = L.field.p
-    if L.order % p != 0:
+    if all(element_order(g, L.bound) % p for g in L.gens):
         return
     pelems = [g for g in L.enumerate()
               if not g.is_identity() and element_order(g) % p == 0]
@@ -231,7 +242,9 @@ def homogeneous_components(L):
     """Isotypic components of F^n restricted to the abelian group L,
     computed over the base field by idempotent refinement.
 
-    Blocks whose restricted enveloping algebra has a one-dimensional
+    Each block's enveloping algebra is spun from the restricted generators
+    of L; its RREF basis is canonical, so it is the same as the span of
+    every restricted element.  Blocks whose algebra has a one-dimensional
     Frobenius-fixed subalgebra are single components; otherwise the first
     non-scalar fixed element has a squarefree totally-split minimal
     polynomial, and its eigenspaces refine the block.
@@ -241,13 +254,13 @@ def homogeneous_components(L):
     _coprimality_guard(L)
     F = L.field
     n = L.dim
-    elements = L.enumerate()
     work = [Subspace.whole(F, n)]
     final = []
     while work:
         block = work.pop(0)
-        restricted = [restrict_matrix(g, block) for g in elements]
-        algebra = AlgebraSpan(F, block.dim, restricted)
+        restricted = [restrict_matrix(g, block) for g in L.gens]
+        algebra = AlgebraSpan(F, block.dim,
+                              _enveloping_algebra(F, block.dim, restricted))
         fixed = _frobenius_fixed_basis(algebra)
         nonscalar = _first_nonscalar(F, fixed)
         if nonscalar is None:
@@ -273,6 +286,22 @@ def homogeneous_components(L):
     if sum(s.dim for s in final) != n:
         raise InvariantViolation("components do not fill the space")
     return final
+
+
+def _enveloping_algebra(F, d, gens):
+    """A spanning set of the F-algebra that the d x d matrices `gens`
+    generate: the identity spun under right multiplication by each
+    generator, in d^2-space.  For the image of a finite group this is the
+    span of all its elements."""
+    # right[s] maps the row-major vec(x) to vec(x g_s): d diagonal blocks
+    # g_s^T
+    i = np.arange(d)
+    right = np.zeros((len(gens), d, d, d, d), dtype=np.int32)
+    right[:, i, :, i, :] = [g.a.T for g in gens]
+    right = right.reshape(len(gens), d * d, d * d)
+    eye = np.eye(d, dtype=np.int32).reshape(-1)
+    return [Matrix(F, row.reshape(d, d))
+            for row in _spin_rows(F, eye, right)]
 
 
 def _first_nonscalar(F, matrices):

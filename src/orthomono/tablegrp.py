@@ -152,10 +152,6 @@ class CayleyTable:
             key = self._keys[memo] = M[order[0]].astype(np.int32).tobytes()
         return key
 
-    def conjugate_set(self, H, g):
-        rows = self.table[self.table[g, np.asarray(H)], int(self.inv[g])]
-        return np.sort(rows)
-
     def contained_up_to_conjugacy(self, K, K2):
         """True iff some conjugate of K is a subset of K2."""
         mask2 = np.zeros(self.n, dtype=bool)

@@ -171,10 +171,10 @@ def test_permutation_action_is_homomorphism():
             Subspace(F3, 3, [[0, 1, 0]]),
             Subspace(F3, 3, [[0, 0, 1]])]
     D = OrthoDecomposition(s, axes)
-    act = validate_decomposition(D, G)
     for g in G.gens:
         for h in G.gens:
-            pg, ph, pgh = act.perm_of(g), act.perm_of(h), act.perm_of(g @ h)
+            pg, ph, pgh = validate_decomposition(D, Gens([g, h, g @ h])) \
+                .gen_perms
             assert pgh == tuple(pg[ph[i]] for i in range(3))
 
 

@@ -1,13 +1,14 @@
-"""Byte-for-byte guard on the O_3(q) sweep and the transitive
-classification: each command's output must match its file in
-tests/golden/."""
+"""Byte-for-byte guard on the O_3(q) sweep, the transitive classification
+and the certificates of the wreath ladder: each command's output must match
+its file in tests/golden/."""
 
 import io
 import pathlib
 
 import pytest
 
-from orthomono.cli import build_parser, cmd_check_theorem, cmd_maximal
+from orthomono.cli import build_parser, cmd_analyze, cmd_check_theorem, \
+    cmd_maximal, cmd_wreath
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -27,3 +28,22 @@ def test_cli_output_matches_golden(argv):
     out = io.StringIO()
     assert handler(build_parser().parse_args(argv), out=out) == 0
     assert out.getvalue() == (GOLDEN / ("_".join(argv) + ".txt")).read_text()
+
+
+@pytest.mark.parametrize("n, q, kspec, name", [
+    ("5", "3", "C", "C"),
+    ("5", "5", "1,2,3,4,0;0,2,4,1,3", "AGL"),   # AGL(1,5)
+    ("5", "9", "D", "D"),
+    ("7", "3", "D", "D"),
+    ("7", "5", "C", "C"),
+])
+def test_wreath_certificate_matches_golden(tmp_path, n, q, kspec, name):
+    group_file = tmp_path / "w.grp"
+    args = build_parser().parse_args(
+        ["wreath", n, q, kspec, "-o", str(group_file)])
+    assert cmd_wreath(args, out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert cmd_analyze(build_parser().parse_args(
+        ["analyze", str(group_file)]), out=out) == 0
+    golden = GOLDEN / f"wreath_{n}_{q}_{name}.txt"
+    assert out.getvalue() == golden.read_text()

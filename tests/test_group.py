@@ -17,7 +17,6 @@ from orthomono.group import (
     MatrixGroup,
     PermGroup,
     abelian_normal_term,
-    center,
     closure,
     derived_series,
     element_order,
@@ -32,6 +31,7 @@ from orthomono.group import (
     setwise_stabilizer,
 )
 from orthomono.linalg import Matrix, Subspace
+from orthomono.wreath import wreath_construct
 
 F3, F5, F7 = GF(3), GF(5), GF(7)
 CYCLE3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
@@ -167,12 +167,6 @@ def test_abelian_normal_term_trivial_rejected():
         abelian_normal_term(MatrixGroup.trivial(F5, 2))
 
 
-def test_center():
-    G = orthogonal_group(unit_space(F3, 3))
-    Z = center(G)
-    assert Z.order == 2  # {I, -I}
-
-
 def test_fixed_space_cases():
     triv = MatrixGroup.trivial(F5, 3)
     assert fixed_space(triv).dim == 3
@@ -206,6 +200,75 @@ def test_orbit_stabilizer_property():
             H = setwise_stabilizer(G, D, i)
             orbit = {D.parts[i].image(g) for g in G.enumerate()}
             assert G.order == len(orbit) * H.order
+
+
+def every_element_stabilizer(G, D, i):
+    """Reference: the stabilizer of part i filtered from every element of
+    G, as (greedy generators, order); the enumerating path that the
+    Schreier generators replaced."""
+    part = D.parts[i]
+    stab = [g for g in G.enumerate() if part.image(g) == part]
+    return reduce_generators(stab, G.identity) or [G.identity], len(stab)
+
+
+# AGL(1, p) on Z/p: x -> x + 1 and x -> a x, a a primitive root
+AGL = {5: [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)],
+       7: [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)]}
+WREATH_FIELDS = [F3, F5, GF(3, 2)]
+
+
+def wreath_on_axes(F, n, kind):
+    """The signed permutations over C_n, D_n or AGL(1, n), as a fresh
+    (not yet enumerated) MatrixGroup, with the axes decomposition."""
+    K = {"C": PermGroup.cyclic(n), "D": PermGroup.dihedral(n),
+         "AGL": PermGroup(n, AGL[n])}[kind]
+    space, D = axes_decomposition(F, n)
+    gens = wreath_construct(K, space).group.gens
+    return MatrixGroup(gens, space=space), D
+
+
+def stabilizer_cases():
+    cases = []
+    space3, D3 = axes_decomposition(F3, 3)
+    cases.append((orthogonal_group(space3), D3))
+    space5, D5 = axes_decomposition(F5, 3)
+    cases.append((MatrixGroup([Matrix(F5, CYCLE3), Matrix.diag(F5, [4, 1, 1])],
+                              space=space5), D5))
+    cases.append((MatrixGroup([Matrix(F7, CYCLE3)], space=unit_space(F7, 3)),
+                  axes_decomposition(F7, 3)[1]))
+    return cases
+
+
+def test_stabilizer_matches_every_element_filter_on_test_groups():
+    for G, D in stabilizer_cases():
+        for i in range(D.k):
+            gens, order = every_element_stabilizer(G, D, i)
+            H = setwise_stabilizer(G, D, i)
+            assert H.gens == gens
+            assert H.order == order
+
+
+@pytest.mark.parametrize("F", WREATH_FIELDS, ids=str)
+@pytest.mark.parametrize("n, kind", [(5, "C"), (5, "D"), (5, "AGL"),
+                                     (7, "C"), (7, "D"), (7, "AGL")])
+def test_stabilizer_matches_every_element_filter_on_wreaths(F, n, kind):
+    G, D = wreath_on_axes(F, n, kind)
+    for i in (0, n - 1):
+        gens, order = every_element_stabilizer(G, D, i)
+        H = setwise_stabilizer(G, D, i)
+        assert H.gens == gens
+        assert H.order == order == G.order // n
+
+
+def test_stabilizer_reads_generators_only(monkeypatch):
+    G, D = wreath_on_axes(F5, 5, "AGL")
+    want = every_element_stabilizer(*wreath_on_axes(F5, 5, "AGL"), 2)[0]
+
+    def refuse():
+        raise AssertionError("setwise_stabilizer enumerated G")
+
+    monkeypatch.setattr(G, "enumerate", refuse)
+    assert setwise_stabilizer(G, D, 2).gens == want
 
 
 def test_setwise_stabilizer_rejects_non_invariant():
@@ -336,3 +399,24 @@ def test_closure_matches_dimino(monkeypatch):
     # the cases reach cyclic, dihedral and whole orthogonal groups
     assert orders[:5] == [6, 12, 8, 240, 240]
     assert 31200 in orders
+
+
+def test_orthogonal_order_matches_enumeration():
+    for F, gram in ((F3, [1, 1, 1]), (F3, [1, 1, 2]), (F5, [1, 1, 1]),
+                    (F5, [2, 1, 1]), (F7, [1, 1, 1]), (GF(3, 2), [1, 1, 1]),
+                    (F5, [3])):
+        space = QuadraticSpace(F, Matrix.diag(F, gram))
+        order = group.orthogonal_order(space.n, F.q)
+        assert orthogonal_group(space).order == order
+        assert orthogonal_group(space, bound=order).order == order
+
+
+def test_orthogonal_group_over_the_bound_builds_no_reflection(monkeypatch):
+    def refuse(space, v):
+        raise AssertionError("a reflection was built")
+
+    monkeypatch.setattr(group, "reflection", refuse)
+    with pytest.raises(BoundExceeded, match="^group exceeds bound 254$"):
+        orthogonal_group(unit_space(GF(3, 2), 5), bound=254)
+    with pytest.raises(BoundExceeded, match="^group exceeds bound 47$"):
+        orthogonal_group(unit_space(F3, 3), bound=47)

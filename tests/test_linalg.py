@@ -16,6 +16,7 @@ from orthomono.linalg import (
     primary_components,
     rational_form,
     rref,
+    rref_array,
     vec,
 )
 
@@ -37,6 +38,54 @@ def test_rref_dependent_rows():
     m, rank, _ = rref(Matrix(F5, [[1, 2], [2, 4]]))
     assert rank == 1
     assert m.a.tolist() == [[1, 2], [0, 0]]
+
+
+def row_at_a_time_rref(F, a):
+    """Reference: Gauss-Jordan that clears each pivot column one row at a
+    time (the elimination loop that rref_array replaced)."""
+    a = a.astype(np.int32).copy()
+    nrows, ncols = a.shape
+    piv = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i, c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = F.inv(int(a[r, c]))
+        if inv != 1:
+            a[r] = F.vscale(inv, a[r])
+        for i in range(nrows):
+            if i != r and a[i, c] != 0:
+                a[i] = F.vsub(a[i], F.vscale(int(a[i, c]), a[r]))
+        piv.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, r, tuple(piv)
+
+
+@pytest.mark.parametrize("F", [F3, GF(3, 2), GF(3, 3)], ids=str)
+def test_rref_array_matches_row_at_a_time_elimination(F):
+    rng = np.random.default_rng(F.q)
+    cases = [np.zeros((3, 4), dtype=np.int32), np.zeros((0, 3), np.int32)]
+    for rows, cols in ((1, 1), (3, 3), (4, 7), (9, 9), (12, 5), (9, 81)):
+        for _ in range(4):
+            cases.append(rng.integers(0, F.q, (rows, cols)))
+            # rank deficient: a product through a narrow middle, then a
+            # zero column and a repeated row
+            rank = int(rng.integers(0, min(rows, cols) + 1))
+            low = F.mat_mul(rng.integers(0, F.q, (rows, rank)),
+                            rng.integers(0, F.q, (rank, cols)))
+            low[:, cols // 2] = 0
+            cases.append(np.concatenate([low, low[:1]]))
+    for a in cases:
+        red, rank, piv = rref_array(F, a)
+        want, want_rank, want_piv = row_at_a_time_rref(F, a)
+        assert red.dtype == want.dtype
+        assert np.array_equal(red, want)
+        assert (rank, piv) == (want_rank, want_piv)
 
 
 def test_rref_idempotent():

@@ -10,8 +10,9 @@ from orthomono.errors import (
 )
 from orthomono.field import GF
 from orthomono.form import QuadraticSpace
-from orthomono.group import MatrixGroup, is_abelian, orthogonal_group, \
-    perm_matrix
+from orthomono import modrep
+from orthomono.group import MatrixGroup, PermGroup, derived_series, \
+    is_abelian, orthogonal_group, perm_matrix, sorted_elements
 from orthomono.linalg import (
     Matrix,
     Subspace,
@@ -29,6 +30,7 @@ from orthomono.modrep import (
     spin,
     zalesski_dichotomy_check,
 )
+from orthomono.wreath import wreath_construct
 
 F3, F5, F7 = GF(3), GF(5), GF(7)
 CYCLE3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
@@ -209,6 +211,70 @@ def test_components_invariance_and_sum():
         assert total.dim == L.dim
 
 
+def every_element_algebra(F, d, gens):
+    """Reference for modrep._enveloping_algebra: every element of the group
+    the restricted generators generate, i.e. of the restricted L (the
+    all-elements span that the generator spin replaced)."""
+    return list(sorted_elements(gens))
+
+
+# AGL(1, p) on Z/p: x -> x + 1 and x -> a x, a a primitive root
+AGL = {5: [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)],
+       7: [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)]}
+
+
+def wreath_group(F, n, kind):
+    """The signed permutations over C_n, D_n or AGL(1, n) over F."""
+    K = {"C": PermGroup.cyclic(n), "D": PermGroup.dihedral(n),
+         "AGL": PermGroup(n, AGL[n])}[kind]
+    return wreath_construct(K, unit_space(F, n)).group
+
+
+@pytest.fixture(scope="module")
+def abelian_terms():
+    """The abelian derived-series terms L that the recursion splits, for
+    the C/D/AGL wreaths of degree 5 and 7 over GF(3), GF(5) and GF(9), and
+    the test groups of this file."""
+    Ls = [diag_sign_group(F5, 3), MatrixGroup([Matrix(F5, CYCLE3)]),
+          MatrixGroup([Matrix(F7, CYCLE3)]),
+          MatrixGroup([Matrix.diag(F5, [4, 4, 1]),
+                       Matrix.diag(F5, [1, 4, 4])]),
+          MatrixGroup([Matrix(F3, [[0, 1, 0], [2, 0, 0], [0, 0, 2]])])]
+    for F in (F3, F5, GF(3, 2)):
+        for n, kind in ((5, "C"), (5, "D"), (5, "AGL"),
+                        (7, "C"), (7, "D"), (7, "AGL")):
+            Ls.append(derived_series(wreath_group(F, n, kind))[-2])
+    return Ls
+
+
+def test_components_match_the_every_element_algebra(monkeypatch,
+                                                   abelian_terms):
+    got = [homogeneous_components(L) for L in abelian_terms]
+    monkeypatch.setattr(modrep, "_enveloping_algebra", every_element_algebra)
+    assert got == [homogeneous_components(L) for L in abelian_terms]
+
+
+def test_enveloping_algebra_spin_spans_every_element(abelian_terms):
+    for L in abelian_terms:
+        F, n = L.field, L.dim
+        spun = AlgebraSpan(F, n, modrep._enveloping_algebra(F, n, L.gens))
+        full = AlgebraSpan(F, n, list(L.enumerate()))
+        assert np.array_equal(spun.rows, full.rows)
+        assert spun.pivots == full.pivots
+
+
+def test_components_never_enumerate_l():
+    L = derived_series(wreath_group(GF(3, 2), 7, "AGL"))[-2]
+    want = homogeneous_components(L)
+    fresh = MatrixGroup(L.gens)
+
+    def refuse():
+        raise AssertionError("homogeneous_components enumerated L")
+
+    fresh.enumerate = refuse
+    assert homogeneous_components(fresh) == want
+
+
 def test_components_not_abelian_rejected():
     G = MatrixGroup([Matrix(F5, CYCLE3), perm_matrix(F5, (1, 0, 2))])
     with pytest.raises(NotAbelian):
@@ -219,6 +285,20 @@ def test_components_coprimality_rejected():
     L = MatrixGroup([Matrix(F3, [[1, 1], [0, 1]])])  # order 3 = p
     with pytest.raises(NotCoprime):
         homogeneous_components(L)
+
+
+def test_coprimality_is_decided_by_generator_orders():
+    # p divides |L| although the generator that carries p is not first
+    unip = Matrix(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    L = MatrixGroup([Matrix.diag(F3, [2, 2, 1]), unip])
+    with pytest.raises(NotCoprime, match="^characteristic 3 divides the "
+                       "group order 6; its Sylow-3 part fixes only a "
+                       "2-dimensional subspace$"):
+        homogeneous_components(L)
+    # an element of order 6 = 2 * 3 as the only generator
+    L = MatrixGroup([Matrix(F3, [[2, 2, 0], [0, 2, 0], [0, 0, 1]])])
+    with pytest.raises(NotCoprime, match="group order 6;"):
+        homogeneous_components_split(L)
 
 
 def test_components_unequal_dims_and_repeated_characters():
