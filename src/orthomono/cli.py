@@ -393,7 +393,7 @@ def build_parser():
         description="orthogonal decompositions and monomial certificates "
                     "for solvable matrix groups over small odd finite fields")
     parser.add_argument("--bound", type=int, default=10 ** 6,
-                        help="element enumeration cap (default 10^6)")
+                        help="cap on every group closure (default 10^6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="certificate for a group file")

@@ -81,7 +81,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "base", "_digits", "_place",
-                 "_fold", "_log", "_exp")
+                 "_fold", "_log", "_exp", "_wide")
 
     def __init__(self, p, k=1, modulus=None, base=None):
         if not is_prime(p):
@@ -106,6 +106,8 @@ class FieldSpec:
         if base is not None and (base.p != p or k % base.k != 0):
             raise NoEmbedding(f"GF({base.q}) does not embed in GF({self.q})")
         self.base = base
+        # products of two prime-field indices overflow int32 past p = 46341
+        self._wide = (p - 1) ** 2 >= 2 ** 31
         if k > 1:
             self._build_arithmetic()
 
@@ -298,12 +300,15 @@ class FieldSpec:
 
     def vmul(self, A, B):
         if self.k == 1:
+            if self._wide:
+                return (np.multiply(A, B, dtype=np.int64) % self.p) \
+                    .astype(np.result_type(A, B))
             return (A * B) % self.p
         return self._exp[self._log[A] + self._log[B]]
 
     def vscale(self, c, A):
         if self.k == 1:
-            return (c * A) % self.p
+            return self.vmul(c, A)
         return self._exp[self._log[c] + self._log[A]]
 
     def mat_mul(self, A, B):

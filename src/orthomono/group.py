@@ -1,13 +1,14 @@
 """Finite matrix group engine at desk scale.
 
-Groups are given by generators and enumerated in full by one batched
-breadth-first closure (with a size bound) that serves every field; the
-element list is sorted by a canonical byte encoding, so element indices are
-reproducible across runs and independent of the closure strategy.  Derived
-series and normal closures work on the enumerated elements.  The setwise
-stabilizer of a part never enumerates G: Schreier generators from a
-transversal of the part's orbit give the stabilizer, which alone is
-enumerated.
+Groups are given by generators and closed by one batched breadth-first
+closure (with a size bound) that serves every field.  A group caches that
+unsorted closure; order and membership read it.  The element list sorted by
+a canonical byte encoding, whose indices are reproducible across runs and
+independent of the closure strategy, is built only when asked for (Cayley
+tables, maximality sweeps).  Each derived term is a normal closure built by
+membership in the closure so far.  The setwise stabilizer of a part never
+enumerates G: Schreier generators from a transversal of the part's orbit
+give the stabilizer, which alone is enumerated.
 """
 
 import math
@@ -73,18 +74,17 @@ def closure(gens, bound=DEFAULT_BOUND):
 _mulclose_prime = closure
 
 
-def sorted_elements(gens, bound=DEFAULT_BOUND):
-    """Every element of <gens> as a tuple of Matrix: the identity first,
-    then the rest sorted by their canonical key."""
-    F = gens[0].field
-    eye, *rest = (Matrix(F, m) for m in closure(gens, bound).values())
+def sorted_elements(F, span):
+    """The elements of a closure over F as a tuple of Matrix: the identity
+    first, then the rest sorted by their canonical key."""
+    eye, *rest = (Matrix(F, m) for m in span.values())
     return (eye,) + tuple(sorted(rest, key=lambda m: m._key))
 
 
 class MatrixGroup:
-    """A finite subgroup of GL(n, F) given by generators, with cached full
-    enumeration.  An attached QuadraticSpace forces all generators to be
-    isometries."""
+    """A finite subgroup of GL(n, F) given by generators, with its closure
+    cached unsorted and its sorted element list built on demand.  An
+    attached QuadraticSpace forces all generators to be isometries."""
 
     def __init__(self, gens, space=None, bound=DEFAULT_BOUND, name=""):
         gens = list(gens)
@@ -112,6 +112,7 @@ class MatrixGroup:
         self.space = space
         self.bound = bound
         self.name = name
+        self._closure = None
         self._elements = None
         self._index = None
 
@@ -123,10 +124,16 @@ class MatrixGroup:
     def identity(self):
         return Matrix.identity(self.field, self.dim)
 
+    def _span(self):
+        """The closure of the generators, entry bytes -> entry array."""
+        if self._closure is None:
+            self._closure = closure(self.gens, self.bound)
+        return self._closure
+
     def enumerate(self):
         """Sorted tuple of all elements (identity first)."""
         if self._elements is None:
-            self._elements = sorted_elements(self.gens, self.bound)
+            self._elements = sorted_elements(self.field, self._span())
             self._index = {m: i for i, m in enumerate(self._elements)}
         return self._elements
 
@@ -136,18 +143,19 @@ class MatrixGroup:
 
     @property
     def order(self):
-        return len(self.enumerate())
+        return len(self._span())
 
     def __contains__(self, m):
-        self.enumerate()
-        return m in self._index
+        return isinstance(m, Matrix) \
+            and m._key[:2] == (self.field.key, (self.dim, self.dim)) \
+            and m._key[2] in self._span()
 
     def index_of(self, m):
         self.enumerate()
         return self._index[m]
 
     def __repr__(self):
-        known = "?" if self._elements is None else str(self.order)
+        known = "?" if self._closure is None else str(self.order)
         label = f" {self.name!r}" if self.name else ""
         return f"MatrixGroup(dim={self.dim}, {self.field}, " \
                f"gens={len(self.gens)}, order={known}{label})"
@@ -165,78 +173,54 @@ def element_order(g, bound=DEFAULT_BOUND):
     return n
 
 
-def commutator(a, b):
-    return a.inverse() @ b.inverse() @ a @ b
-
-
 def reduce_generators(elements, identity):
     """Greedy small generating set drawn from a sorted element list."""
+    return _reduce(elements, identity)[0]
+
+
+def _reduce(elements, identity):
+    """reduce_generators, with the closure of the generators it kept."""
     gens = []
-    span = {identity._key[2]}
+    span = {identity._key[2]: identity.a}
     for x in elements:
         if x._key[2] not in span:
             gens.append(x)
             span = closure(gens)
             if len(span) == len(elements):
                 break
-    return gens
-
-
-def normal_closure_gens(group_gens, seeds, identity):
-    """Conjugation closure of the seed set under the group generators (and
-    their inverses); the subgroup generated by the result is the normal
-    closure of the seeds."""
-    conj_by = []
-    for g in group_gens:
-        gi = g.inverse()
-        conj_by.append((g, gi))
-        conj_by.append((gi, g))
-    out = []
-    seen = set()
-    frontier = []
-    for s in seeds:
-        if s not in seen and s != identity:
-            seen.add(s)
-            out.append(s)
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g, gi in conj_by:
-                t = g @ s @ gi
-                if t not in seen and t != identity:
-                    seen.add(t)
-                    out.append(t)
-                    nxt.append(t)
-        frontier = nxt
-    return out
+    return gens, span
 
 
 def derived_series(G):
     """G = G(0) > G(1) > ... with G(i+1) the normal closure in G(i) of the
-    generator commutators; stops at the trivial group or when the series
-    stabilizes (then G is not solvable)."""
+    commutators of its generators; stops at the trivial group or when the
+    series stabilizes (then G is not solvable).
+
+    A term is built by membership: a commutator, or a conjugate g^-1 n g
+    of a newly kept generator n by a generator g of G(i), is kept as a
+    generator only when it lies outside the closure of those kept so far.
+    Each term caches the closure it was built with, and no element list is
+    sorted."""
     terms = [G]
-    while True:
+    while terms[-1].order > 1:
         cur = terms[-1]
-        if cur.order == 1:
-            break
         gens = cur.gens
-        seeds = []
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                c = commutator(a, b)
-                if not c.is_identity():
-                    seeds.append(c)
-        if not seeds:
-            terms.append(MatrixGroup.trivial(G.field, G.dim, space=G.space))
-            break
-        closure = normal_closure_gens(gens, seeds, cur.identity)
-        small = reduce_generators(
-            sorted(set(closure), key=lambda m: m._key), cur.identity)
-        nxt = MatrixGroup(small, space=G.space, bound=G.bound)
-        if nxt.order == cur.order:
+        inverses = [g.inverse() for g in gens]
+        queue = [inverses[i] @ inverses[j] @ a @ b
+                 for i, a in enumerate(gens)
+                 for j, b in enumerate(gens) if i < j]
+        kept = []
+        span = {cur.identity._key[2]: cur.identity.a}
+        for x in queue:  # grows while it is read
+            if x._key[2] not in span:
+                kept.append(x)
+                span = closure(kept, G.bound)
+                queue.extend(gi @ x @ g for g, gi in zip(gens, inverses))
+        if all(g._key[2] in span for g in gens):
             break  # stabilized above the trivial group
+        nxt = MatrixGroup(kept or [cur.identity], space=G.space,
+                          bound=G.bound)
+        nxt._closure = span
         terms.append(nxt)
     return terms
 
@@ -289,7 +273,8 @@ def setwise_stabilizer(G, decomposition, part_index):
     lemma the elements t_{s(j)}^-1 s t_j, for s in G.gens and j in the
     orbit, generate the stabilizer.  Its |G|/k elements are enumerated and
     reduced greedily in canonical order, so the generators returned are
-    the same as a filter of G's sorted elements would give."""
+    the same as a filter of G's sorted elements would give; H keeps the
+    closure of those generators."""
     perms = validate_decomposition(decomposition, G).gen_perms
     transversal = {part_index: G.identity}
     orbit = [part_index]
@@ -305,14 +290,16 @@ def setwise_stabilizer(G, decomposition, part_index):
             h = inverses[perm[j]] @ s @ transversal[j]
             if not h.is_identity():
                 schreier[h] = None
-    stab = sorted_elements(list(schreier) or [G.identity], G.bound)
-    small = reduce_generators(stab, G.identity)
-    H = MatrixGroup(small or [G.identity], space=G.space, bound=G.bound)
-    if H.order != len(stab):
+    stab = sorted_elements(
+        G.field, closure(list(schreier) or [G.identity], G.bound))
+    small, span = _reduce(stab, G.identity)
+    if len(span) != len(stab):
         raise AlgebraError("stabilizer reduction lost elements")  # impossible
-    # orbit-stabilizer, whenever |G| is known without enumerating here
-    if G._elements is not None and len(stab) * len(orbit) != G.order:
+    # orbit-stabilizer, whenever |G| is known without closing G here
+    if G._closure is not None and len(stab) * len(orbit) != G.order:
         raise AlgebraError("Schreier generators miss stabilizer elements")
+    H = MatrixGroup(small or [G.identity], space=G.space, bound=G.bound)
+    H._closure = span
     return H
 
 

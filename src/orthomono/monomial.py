@@ -121,25 +121,31 @@ def find_invariant_decomposition(G, space, series=None):
 
 
 def _coset_representatives(G, decomposition):
-    """Breadth-first search over generator words, generator-index order;
-    the first word whose element maps the first part onto part i wins."""
-    Z1 = decomposition.parts[0]
-    found = {}
-    queue = [((), G.identity)]
-    seen = {G.identity}
-    while queue and len(found) < decomposition.k:
-        word, m = queue.pop(0)
-        idx = decomposition.index_of(Z1.image(m))
-        if idx is not None and idx not in found:
-            found[idx] = (word, m)
-        for j, g in enumerate(G.gens):
-            nm = m @ g
-            if nm not in seen:
-                seen.add(nm)
-                queue.append((word + (j,), nm))
-    if len(found) < decomposition.k:
+    """(word, element) for each part i: the shortlex-least generator-index
+    word whose element maps the first part onto part i, the rightmost
+    letter acting first.
+
+    Read from the generators' permutations of the parts: with d(i) the
+    distance of part i from part 0, word(i) = (j,) + word(pi_j^-1(i)) for
+    the least j with d(pi_j^-1(i)) = d(i) - 1."""
+    perms = validate_decomposition(decomposition, G).gen_perms
+    dist = {0: 0}
+    orbit = [0]
+    for i in orbit:  # grows while it is read: breadth-first
+        for perm in perms:
+            if perm[i] not in dist:
+                dist[perm[i]] = dist[i] + 1
+                orbit.append(perm[i])
+    if len(orbit) < decomposition.k:
         raise InvariantViolation(
             "group is not transitive on the parts despite irreducibility")
+    inverses = [{t: s for s, t in enumerate(perm)} for perm in perms]
+    found = {0: ((), G.identity)}
+    for i in orbit[1:]:
+        j, src = next((j, inv[i]) for j, inv in enumerate(inverses)
+                      if dist[inv[i]] == dist[i] - 1)
+        word, m = found[src]
+        found[i] = ((j,) + word, G.gens[j] @ m)
     return [found[i] for i in range(decomposition.k)]
 
 

@@ -306,6 +306,17 @@ def test_prime_power_q_builds_the_extension_field(tmp_path):
     assert field.q == 9 and MatrixGroup(gens).order == 48
 
 
+def test_analyze_over_the_largest_prime_field(tmp_path):
+    # regression: over GF(65521) a product of two indices overflowed int32
+    # and the certificate failed with NotInvariant
+    path = tmp_path / "w.grp"
+    assert run(["wreath", "3", "65521", "S", "-o", str(path)])[0] == 0
+    code, output = run(["analyze", str(path)])
+    assert code == 0
+    assert output.splitlines()[1] == "field p=65521 k=1"
+    assert output.splitlines()[-1] == "verified: true"
+
+
 @pytest.mark.parametrize("q", [15, 1])
 def test_q_not_an_odd_prime_power_exits_2(q):
     for argv in (["check-theorem", "3", str(q)], ["maximal", "3", str(q)],

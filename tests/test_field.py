@@ -73,6 +73,26 @@ def test_vector_ops_match_scalar_ops():
             assert [F.mul(a, b) for a in range(F.q)] == list(F.vmul(A, B))
 
 
+@pytest.mark.parametrize("p", [3, 7, 46337, 46349, 65521])
+def test_prime_field_products_do_not_overflow(p):
+    # (p - 1)^2 passes 2^31 above p = 46341; int32 index arrays keep their
+    # dtype, and the products agree with Python's integers
+    F = GF(p)
+    A = np.array([p - 1, p - 2, 1, 0, p // 2], dtype=np.int32)
+    B = np.array([p - 1, p - 1, p - 1, p - 1, p - 3], dtype=np.int32)
+    want = [int(a) * int(b) % p for a, b in zip(A, B)]
+    assert F.vmul(A, B).tolist() == want
+    assert F.vmul(A, B).dtype == np.int32
+    assert F.vscale(p - 1, B).tolist() == [(p - 1) * int(b) % p for b in B]
+    assert F.vscale(p - 1, B).dtype == np.int32
+    assert F._wide == (p > 46341)
+
+
+def test_vscale_over_gf_65521():
+    F = GF(65521)
+    assert F.vscale(65520, np.array([65520], dtype=np.int32)).tolist() == [1]
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
 def test_scalar_ops_through_tables_match_polynomial_arithmetic(p, k):
     # mul and inv read the logarithm tables; the reference field, before its

@@ -1,6 +1,6 @@
 """Byte-for-byte guard on the O_3(q) sweep, the transitive classification
-and the certificates of the wreath ladder: each command's output must match
-its file in tests/golden/."""
+and the certificates of the wreath ladder and of a three-level recursion:
+each command's output must match its file in tests/golden/."""
 
 import io
 import pathlib
@@ -8,7 +8,9 @@ import pathlib
 import pytest
 
 from orthomono.cli import build_parser, cmd_analyze, cmd_check_theorem, \
-    cmd_maximal, cmd_wreath
+    cmd_maximal, cmd_wreath, write_group_file
+from orthomono.group import MatrixGroup
+from test_monomial import deep_block_group
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -47,3 +49,34 @@ def test_wreath_certificate_matches_golden(tmp_path, n, q, kspec, name):
         ["analyze", str(group_file)]), out=out) == 0
     golden = GOLDEN / f"wreath_{n}_{q}_{name}.txt"
     assert out.getvalue() == golden.read_text()
+
+
+def analyze_output(group_file):
+    out = io.StringIO()
+    assert cmd_analyze(build_parser().parse_args(
+        ["analyze", str(group_file)]), out=out) == 0
+    return out.getvalue()
+
+
+def test_analyze_sorts_no_element_list(tmp_path, monkeypatch):
+    group_file = tmp_path / "w.grp"
+    args = build_parser().parse_args(
+        ["wreath", "7", "3", "D", "-o", str(group_file)])
+    assert cmd_wreath(args, out=io.StringIO()) == 0
+
+    def refuse(self):
+        raise AssertionError("analyze built a sorted element list")
+
+    monkeypatch.setattr(MatrixGroup, "enumerate", refuse)
+    assert analyze_output(group_file) == \
+        (GOLDEN / "wreath_7_3_D.txt").read_text()
+
+
+def test_three_level_certificate_matches_golden(tmp_path):
+    # 9 = 3 parts of dimension 3, each split into 3 lines: the transport
+    # words of two levels above the lines
+    G, space = deep_block_group()
+    group_file = tmp_path / "deep.grp"
+    group_file.write_text(write_group_file(space, G.gens))
+    assert analyze_output(group_file) == \
+        (GOLDEN / "deep_block.txt").read_text()

@@ -420,3 +420,160 @@ def test_orthogonal_group_over_the_bound_builds_no_reflection(monkeypatch):
         orthogonal_group(unit_space(GF(3, 2), 5), bound=254)
     with pytest.raises(BoundExceeded, match="^group exceeds bound 47$"):
         orthogonal_group(unit_space(F3, 3), bound=47)
+
+
+# -- reference: the enumerating derived series that membership replaced,
+# kept verbatim: each term is the conjugation closure of the generator
+# commutators, reduced greedily over its sorted elements ---------------------
+
+def commutator(a, b):
+    return a.inverse() @ b.inverse() @ a @ b
+
+
+def normal_closure_gens(group_gens, seeds, identity):
+    """Conjugation closure of the seed set under the group generators (and
+    their inverses); the subgroup generated by the result is the normal
+    closure of the seeds."""
+    conj_by = []
+    for g in group_gens:
+        gi = g.inverse()
+        conj_by.append((g, gi))
+        conj_by.append((gi, g))
+    out = []
+    seen = set()
+    frontier = []
+    for s in seeds:
+        if s not in seen and s != identity:
+            seen.add(s)
+            out.append(s)
+            frontier.append(s)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g, gi in conj_by:
+                t = g @ s @ gi
+                if t not in seen and t != identity:
+                    seen.add(t)
+                    out.append(t)
+                    nxt.append(t)
+        frontier = nxt
+    return out
+
+
+def enumerating_derived_series(G):
+    terms = [G]
+    while True:
+        cur = terms[-1]
+        if cur.order == 1:
+            break
+        gens = cur.gens
+        seeds = []
+        for i, a in enumerate(gens):
+            for b in gens[i + 1:]:
+                c = commutator(a, b)
+                if not c.is_identity():
+                    seeds.append(c)
+        if not seeds:
+            terms.append(MatrixGroup.trivial(G.field, G.dim, space=G.space))
+            break
+        closure = normal_closure_gens(gens, seeds, cur.identity)
+        small = reduce_generators(
+            sorted(set(closure), key=lambda m: m._key), cur.identity)
+        nxt = MatrixGroup(small, space=G.space, bound=G.bound)
+        if nxt.order == cur.order:
+            break  # stabilized above the trivial group
+        terms.append(nxt)
+    return terms
+
+
+def series_cases():
+    space3 = unit_space(F3, 3)
+    yield s3_matrix_group(F5)
+    yield s3_matrix_group(F7)
+    yield MatrixGroup([Matrix.diag(F5, [4, 4, 4]), Matrix.diag(F5, [1, 4, 4])])
+    yield MatrixGroup([Matrix(F7, CYCLE3)], space=unit_space(F7, 3))
+    yield MatrixGroup.trivial(F5, 3)
+    yield MatrixGroup(orthogonal_group(space3).gens, space=space3)
+    for G, _ in stabilizer_cases():
+        yield MatrixGroup(G.gens, space=G.space)
+    # not solvable: S_5 on coordinates, and SO_3(5) (both stop at A_5)
+    yield MatrixGroup([perm_matrix(F3, g)
+                       for g in PermGroup.symmetric(5).gens])
+    O = orthogonal_group(unit_space(F5, 3))
+    so = [g for g in O.enumerate() if g.det().idx == 1]
+    yield MatrixGroup(reduce_generators(so, O.identity))
+
+
+def assert_same_series(G):
+    ref = enumerating_derived_series(MatrixGroup(G.gens, space=G.space))
+    got = derived_series(G)
+    assert len(got) == len(ref)
+    for term, want in zip(got, ref):
+        assert set(term.elements) == set(want.elements)
+    return got
+
+
+def test_derived_series_matches_enumerating_series_on_test_groups():
+    stopped = []
+    for G in series_cases():
+        series = assert_same_series(G)
+        stopped.append(series[-1].order)
+    assert stopped[-2:] == [60, 60]  # stabilized at A_5
+    assert stopped[:-2] == [1] * (len(stopped) - 2)
+
+
+@pytest.mark.parametrize("F", WREATH_FIELDS, ids=str)
+@pytest.mark.parametrize("n, kind", [(5, "C"), (5, "D"), (5, "AGL"),
+                                     (7, "C"), (7, "D"), (7, "AGL")])
+def test_derived_series_matches_enumerating_series_on_wreaths(F, n, kind):
+    series = assert_same_series(wreath_on_axes(F, n, kind)[0])
+    assert series[-1].order == 1
+
+
+def test_derived_series_sorts_no_element_list(monkeypatch):
+    G, _ = wreath_on_axes(GF(3, 2), 5, "AGL")
+    want = [t.order for t in enumerating_derived_series(
+        wreath_on_axes(GF(3, 2), 5, "AGL")[0])]
+
+    def refuse(*args):
+        raise AssertionError("a sorted element list was built")
+
+    monkeypatch.setattr(MatrixGroup, "enumerate", refuse)
+    series = derived_series(G)
+    assert [t.order for t in series] == want
+    # each term keeps the closure it was built with
+    monkeypatch.setattr(group, "closure", refuse)
+    assert [t.order for t in series] == want
+
+
+def test_membership_checks_field_and_shape():
+    G = s3_matrix_group(F7)
+    m = Matrix(F7, CYCLE3)
+    assert m in G
+    assert Matrix(F5, CYCLE3) not in G
+    assert Matrix.identity(F7, 2) not in G
+    assert CYCLE3 not in G
+    assert Matrix(F7, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]) not in G
+
+
+def test_stabilizer_keeps_the_closure_of_its_reduction(monkeypatch):
+    G, D = wreath_on_axes(F5, 5, "AGL")
+    H = setwise_stabilizer(G, D, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was closed again")
+
+    monkeypatch.setattr(group, "closure", refuse)
+    assert H.order == 2 ** 5 * 20 // 5
+
+
+def test_orbit_stabilizer_check_reads_the_closure_of_g(monkeypatch):
+    # a closure of G one element short: |H| k = |G| fails, and the check
+    # runs only when G's closure is known
+    G, D = wreath_on_axes(F3, 5, "C")
+    assert setwise_stabilizer(G, D, 0).order == G.order // 5
+    G._closure = dict(list(G._closure.items())[:-1])
+    with pytest.raises(group.AlgebraError, match="Schreier generators"):
+        setwise_stabilizer(G, D, 0)
+    G._closure = None
+    assert setwise_stabilizer(G, D, 0).order == 2 ** 5 * 5 // 5

@@ -11,8 +11,8 @@ from orthomono.errors import (
 from orthomono.field import GF
 from orthomono.form import QuadraticSpace
 from orthomono import modrep
-from orthomono.group import MatrixGroup, PermGroup, derived_series, \
-    is_abelian, orthogonal_group, perm_matrix, sorted_elements
+from orthomono.group import MatrixGroup, PermGroup, closure, \
+    derived_series, is_abelian, orthogonal_group, perm_matrix, sorted_elements
 from orthomono.linalg import (
     Matrix,
     Subspace,
@@ -215,7 +215,7 @@ def every_element_algebra(F, d, gens):
     """Reference for modrep._enveloping_algebra: every element of the group
     the restricted generators generate, i.e. of the restricted L (the
     all-elements span that the generator spin replaced)."""
-    return list(sorted_elements(gens))
+    return list(sorted_elements(F, closure(gens)))
 
 
 # AGL(1, p) on Z/p: x -> x + 1 and x -> a x, a a primitive root

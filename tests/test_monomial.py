@@ -441,3 +441,85 @@ def test_generator_check_agrees_with_every_element_sweep():
             assert not want.ok, name
             assert check_certificate(bad, G) == want, name
     assert len(names) == 5
+
+
+def element_bfs_coset_representatives(G, decomposition):
+    """Reference: the breadth-first search over group elements that part
+    permutations replaced, kept verbatim.  Generator-index order; the first
+    word whose element maps the first part onto part i wins."""
+    from orthomono.errors import InvariantViolation
+    Z1 = decomposition.parts[0]
+    found = {}
+    queue = [((), G.identity)]
+    seen = {G.identity}
+    while queue and len(found) < decomposition.k:
+        word, m = queue.pop(0)
+        idx = decomposition.index_of(Z1.image(m))
+        if idx is not None and idx not in found:
+            found[idx] = (word, m)
+        for j, g in enumerate(G.gens):
+            nm = m @ g
+            if nm not in seen:
+                seen.add(nm)
+                queue.append((word + (j,), nm))
+    if len(found) < decomposition.k:
+        raise InvariantViolation(
+            "group is not transitive on the parts despite irreducibility")
+    return [found[i] for i in range(decomposition.k)]
+
+
+def wreath_groups():
+    from orthomono.group import PermGroup
+    from orthomono.wreath import wreath_construct
+    agl = {5: [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)],
+           7: [(1, 2, 3, 4, 5, 6, 0), (0, 3, 6, 2, 5, 1, 4)]}
+    for F in (F3, F5, GF(3, 2)):
+        for n in (5, 7):
+            for K in (PermGroup.cyclic(n), PermGroup.dihedral(n),
+                      PermGroup(n, agl[n])):
+                space = unit_space(F, n)
+                yield MatrixGroup(wreath_construct(K, space).group.gens,
+                                  space=space), space
+    # the block groups again, with their generators in another order
+    for build in (deep_block_group, wreath_c5_group):
+        G, space = build()
+        yield MatrixGroup(G.gens[::-1], space=space), space
+
+
+def test_coset_representatives_match_element_bfs(monkeypatch):
+    calls = []
+    real = monomial_mod._coset_representatives
+
+    def compare(G, D):
+        got = real(G, D)
+        assert got == element_bfs_coset_representatives(G, D)
+        calls.append(D.k)
+        return got
+
+    monkeypatch.setattr(monomial_mod, "_coset_representatives", compare)
+    for build in (deep_block_group, wreath_c5_group):
+        monomialize(*build())
+    assert calls == [3, 3, 5]
+    for G, space in wreath_groups():
+        cert = monomialize(G, space)
+        assert check_certificate(cert, G)
+    assert len(calls) == 3 + 18 + 3
+
+
+def test_orbit_stabilizer_check_runs_at_every_level(monkeypatch):
+    # setwise_stabilizer checks |H| k = |G| whenever G's closure is cached;
+    # the derived series that each level builds closes its group first
+    known = []
+    real = monomial_mod.setwise_stabilizer
+
+    def spy(G, D, i):
+        known.append(G._closure is not None)
+        H = real(G, D, i)
+        assert H.order * D.k == G.order
+        return H
+
+    monkeypatch.setattr(monomial_mod, "setwise_stabilizer", spy)
+    for build, levels in ((deep_block_group, 2), (wreath_c5_group, 1)):
+        known.clear()
+        monomialize(*build())
+        assert known == [True] * levels
