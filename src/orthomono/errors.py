@@ -134,8 +134,8 @@ class NotSemisimple(AlgebraError):
 
 
 class NoSuitableWord(AlgebraError):
-    """Irreducibility search exhausted its word list and the exhaustive
-    fallback is over the line-count bound."""
+    """No irreducibility word has a characteristic factor f of nullity
+    deg f, and spinning every line is over the line-count bound."""
     family = "bound"
 
 

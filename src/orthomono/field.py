@@ -211,7 +211,7 @@ class FieldSpec:
         if a == 0:
             raise DivisionByZero(f"inverse of 0 in {self}")
         if self.k == 1:
-            return self.pow(a, self.q - 2)
+            return pow(a, -1, self.p)
         return int(self._exp[self.q - 1 - self._log[a]])
 
     def div(self, a, b):
@@ -683,27 +683,38 @@ def _berlekamp_squarefree(f):
         g = Poly(F, vec)
         if g.degree <= 0:
             continue
-        nxt = []
-        for u in factors:
-            if u.degree == 1:
-                nxt.append(u)
-                continue
-            rem = u
-            pieces = []
-            for c in range(F.q):
-                if rem.degree <= 0:
-                    break
-                d = poly_gcd(rem, g - Poly.const(F, c))
-                if d.degree > 0:
-                    pieces.append(d)
-                    rem = rem // d
-            nxt.extend(pieces if pieces else [u])
-        factors = nxt
+        factors = [piece for u in factors for piece in _split_by(u, g, 0)]
         if len(factors) == r:
             break
     if len(factors) != r:
         raise AlgebraError("factor count off after the Berlekamp sweep")
     return factors
+
+
+def _split_by(u, g, start):
+    """The factors of the squarefree u on each of whose irreducible factors
+    the Berlekamp element g is one constant.
+
+    g is constant on every factor of u exactly when g mod u is.  Otherwise,
+    for a = start, start + 1, ... the gcds of u with g + a and with
+    (g + a)^((q-1)/2) - 1 collect the factors where g = -a and where g + a
+    is a nonzero square; two factors with different constants c part at
+    the latest at a = -c, usually within a few steps.  A value of a that
+    leaves u whole leaves its divisors whole, so the parts go on from the
+    a that split u."""
+    F = u.field
+    g = g % u
+    if g.degree <= 0:
+        return [u]
+    one = Poly.const(F, 1)
+    for a in range(start, F.q):
+        h = g + Poly.const(F, a)
+        d = poly_gcd(u, h)
+        if d.degree in (0, u.degree):
+            d = poly_gcd(u, poly_powmod(h, (F.q - 1) // 2, u) - one)
+        if 0 < d.degree < u.degree:
+            return _split_by(d, g, a) + _split_by(u // d, g, a)
+    raise AlgebraError("no constant parts the factors")  # unreachable
 
 
 def _pth_root_poly(f):

@@ -264,9 +264,10 @@ def fixed_space(P):
     return kernel(Matrix(P.field, rows))
 
 
-def setwise_stabilizer(G, decomposition, part_index):
-    """{g in G : g(W_i) = W_i} as a MatrixGroup; requires the decomposition
-    to be G-invariant.
+def setwise_stabilizer(G, action, part_index):
+    """{g in G : g(W_i) = W_i} as a MatrixGroup, for the part W_i of a
+    G-invariant decomposition; `action` is the PermutationAction of G.gens
+    on its parts (`validate_decomposition`).
 
     Reads generators only: a breadth-first walk of the orbit of part i
     under G.gens gives a transversal t_j (t_j W_i = W_j), and by Schreier's
@@ -275,7 +276,7 @@ def setwise_stabilizer(G, decomposition, part_index):
     reduced greedily in canonical order, so the generators returned are
     the same as a filter of G's sorted elements would give; H keeps the
     closure of those generators."""
-    perms = validate_decomposition(decomposition, G).gen_perms
+    perms = action.gen_perms
     transversal = {part_index: G.identity}
     orbit = [part_index]
     for j in orbit:

@@ -12,8 +12,9 @@ natural module restricted to an abelian normal subgroup:
 
 Both read only the generators of the group, never its element list.  They
 must agree; the test suite holds them against each other.  The module
-also carries spinning/irreducibility (nullity-one word search in the style
-of the Norton criterion, with an exhaustive line-spin fallback), single-
+also carries spinning and irreducibility (the Holt-Rees criterion over a
+deterministic word list, Norton's nullity-one case first, with an
+exhaustive line spin only for groups where no word qualifies), single-
 element eigenspace analysis with Galois orbits, the inverse-eigenvalue
 pairing check, and the dichotomy filter that turns components into an
 orthogonal decomposition.
@@ -40,6 +41,7 @@ from .linalg import (
     Matrix,
     Subspace,
     charpoly,
+    eval_poly,
     extend_scalars,
     kernel,
     minpoly,
@@ -102,8 +104,8 @@ class IrreducibilityResult:
 
 
 def _word_candidates(gens):
-    """Deterministic algebra elements to probe for nullity one: generators,
-    ordered pairwise products, then 0/1-coefficient sums of two and three
+    """Deterministic algebra elements to probe: generators, ordered
+    pairwise products, then 0/1-coefficient sums of two and three
     generators."""
     for g in gens:
         yield g
@@ -120,14 +122,39 @@ def _word_candidates(gens):
                 yield gens[i] + gens[j] + gens[l]
 
 
+def _two_spins(G, m, nullsp):
+    """Decide irreducibility from m = f(theta), theta an algebra element
+    and f irreducible with nullity deg f, so that ker m is one simple
+    F[theta]-module.
+
+    Every nonzero vector of ker m generates all of it, so one spin under G
+    finds any submodule meeting it; a proper submodule that misses it has
+    an annihilator meeting ker m^T, found by one spin under the transposed
+    generators."""
+    n = G.dim
+    F = G.field
+    U = spin(nullsp.basis[0], G)
+    if U.dim < n:
+        return IrreducibilityResult(False, U)
+    w = kernel(m.T).basis[0]
+    rows = _spin_rows(F, w, [g.a.T for g in G.gens])
+    if len(rows) < n:
+        return IrreducibilityResult(False, kernel(Matrix(F, np.stack(rows))))
+    return IrreducibilityResult(True)
+
+
 def is_irreducible(G, line_bound=10 ** 6):
     """Irreducibility of the natural module, with a witness on failure.
 
-    Searches the deterministic word list for an element of nullity exactly
-    one and applies the two-sided spin test (spin the null vector; if full,
-    spin the transposed null vector under the transposed generators and
-    take the annihilator as witness).  Falls back to exhaustively spinning
-    every line when no word qualifies.
+    The Holt-Rees criterion (Holt and Rees, "Testing modules for
+    irreducibility", J. Austral. Math. Soc. A 57, 1994): if an irreducible
+    factor f of the characteristic polynomial of an algebra element theta
+    has dim ker f(theta) = deg f, two spins decide (`_two_spins`).  The
+    deterministic word list is first scanned for nullity one, Norton's
+    case f = x; then, word by word, every factor of the characteristic
+    polynomial in sorted order is tried.  Only when no word has such a
+    factor (scalar groups such as <-I>) is every line spun; past
+    `line_bound` lines that raises NoSuitableWord.
     """
     n = G.dim
     F = G.field
@@ -135,19 +162,14 @@ def is_irreducible(G, line_bound=10 ** 6):
         return IrreducibilityResult(True)
     for a in _word_candidates(G.gens):
         nullsp = kernel(a)
-        if nullsp.dim != 1:
-            continue
-        v = nullsp.basis[0]
-        U = spin(v, G)
-        if U.dim < n:
-            return IrreducibilityResult(False, U)
-        transposed = MatrixGroup([g.T for g in G.gens], bound=G.bound)
-        w = kernel(a.T).basis[0]
-        Ut = spin(w, transposed)
-        if Ut.dim < n:
-            witness = kernel(Matrix(F, Ut.basis))
-            return IrreducibilityResult(False, witness)
-        return IrreducibilityResult(True)
+        if nullsp.dim == 1:
+            return _two_spins(G, a, nullsp)
+    for a in _word_candidates(G.gens):
+        for f, _ in poly_factor(charpoly(a)):
+            m = eval_poly(f, a)
+            nullsp = kernel(m)
+            if nullsp.dim == f.degree:
+                return _two_spins(G, m, nullsp)
     n_lines = (F.q ** n - 1) // (F.q - 1)
     if n_lines > line_bound:
         raise NoSuitableWord(

@@ -92,7 +92,9 @@ def find_invariant_decomposition(G, space, series=None):
     the isotypic components of the last nontrivial derived term.
 
     `series` is the derived series of G from a caller that has already
-    established the hypotheses; without it they are checked here.
+    established the hypotheses; without it they are checked here.  The
+    parts are invariant because the term is normal in G; `monomialize`
+    checks that once per level with `validate_decomposition`.
 
     A single homogeneous component would force that term to be <-I> (whose
     determinant is -1), contradicting its containment in the derived
@@ -115,20 +117,20 @@ def find_invariant_decomposition(G, space, series=None):
             "homogeneous abelian term in the derived subgroup: it would "
             "have to be <-I> with determinant -1, impossible; preserve "
             "this input as a fixture")
-    D = zalesski_dichotomy_check(comps, space)
-    validate_decomposition(D, G)
-    return D
+    return zalesski_dichotomy_check(comps, space)
 
 
-def _coset_representatives(G, decomposition):
-    """(word, element) for each part i: the shortlex-least generator-index
-    word whose element maps the first part onto part i, the rightmost
-    letter acting first.
+def _coset_representatives(G, action):
+    """(word, element) for each part i of the decomposition that `action`
+    (a PermutationAction of G.gens) permutes: the shortlex-least
+    generator-index word whose element maps the first part onto part i,
+    the rightmost letter acting first.
 
     Read from the generators' permutations of the parts: with d(i) the
     distance of part i from part 0, word(i) = (j,) + word(pi_j^-1(i)) for
     the least j with d(pi_j^-1(i)) = d(i) - 1."""
-    perms = validate_decomposition(decomposition, G).gen_perms
+    perms = action.gen_perms
+    k = action.decomposition.k
     dist = {0: 0}
     orbit = [0]
     for i in orbit:  # grows while it is read: breadth-first
@@ -136,7 +138,7 @@ def _coset_representatives(G, decomposition):
             if perm[i] not in dist:
                 dist[perm[i]] = dist[i] + 1
                 orbit.append(perm[i])
-    if len(orbit) < decomposition.k:
+    if len(orbit) < k:
         raise InvariantViolation(
             "group is not transitive on the parts despite irreducibility")
     inverses = [{t: s for s, t in enumerate(perm)} for perm in perms]
@@ -146,7 +148,7 @@ def _coset_representatives(G, decomposition):
                       if dist[inv[i]] == dist[i] - 1)
         word, m = found[src]
         found[i] = ((j,) + word, G.gens[j] @ m)
-    return [found[i] for i in range(decomposition.k)]
+    return [found[i] for i in range(k)]
 
 
 def _line_key(F, row):
@@ -216,8 +218,9 @@ def monomialize(G, space, series=None):
         return cert
 
     D = find_invariant_decomposition(G, space, series)
+    action = validate_decomposition(D, G)
     Z1 = D.parts[0]
-    H = setwise_stabilizer(G, D, 0)
+    H = setwise_stabilizer(G, action, 0)
     sub_space = QuadraticSpace(F, space.restricted_gram(Z1))
     restricted = [restrict_matrix(h, Z1) for h in H.gens]
     H_res = MatrixGroup(restricted, space=sub_space, bound=G.bound)
@@ -227,7 +230,7 @@ def monomialize(G, space, series=None):
             "irreducible group acting on an orthogonal decomposition")
     rec = monomialize(H_res, sub_space, derived_series(H_res))
     lines1 = Z1.lift_rows(rec.basis)
-    reps = _coset_representatives(G, D)
+    reps = _coset_representatives(G, action)
     blocks = []
     for word, m in reps:
         blocks.append(F.mat_mul(lines1, m.a.T))

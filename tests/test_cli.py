@@ -519,3 +519,28 @@ def test_mutated_group_file_exits_with_a_code(text, flags):
         path.write_text(text)
         code, _ = run(["--bound", "2000", "analyze", str(path)] + flags)
     assert type(code) is int and 0 <= code <= 4
+
+
+def test_no_nullity_one_word_over_gf37_certifies(tmp_path):
+    # 2^5:D_5 from a generator pair with no nullity-one word, by a fixed
+    # search: a line sweep would spin (37^5 - 1) / 36 = 1926221 lines, over
+    # the bound, and exit 4; the Holt-Rees pass decides it
+    import random
+    from orthomono.group import MatrixGroup
+    from orthomono.linalg import kernel
+    from orthomono.modrep import _word_candidates
+    F = GF(37)
+    space = QuadraticSpace(F, Matrix.identity(F, 5))
+    W = wreath_construct(PermGroup.dihedral(5), space).group
+    elements = W.enumerate()
+    rng = random.Random(0)
+    while True:
+        pair = rng.sample(elements, 2)
+        if all(kernel(a).dim != 1 for a in _word_candidates(pair)) and \
+                MatrixGroup(pair).order == W.order:
+            break
+    path = tmp_path / "d5.grp"
+    path.write_text(write_group_file(space, pair))
+    code, output = run(["analyze", str(path)])
+    assert code == 0
+    assert output.splitlines()[-1] == "verified: true"

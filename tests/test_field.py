@@ -579,3 +579,91 @@ def test_factor_matches_sympy(p):
             == sorted(((tuple(int(c) for c in reversed(g)), e)
                        for g, e in factors),
                       key=lambda t: (len(t[0]), t[0]))
+
+
+@pytest.mark.parametrize("p", [3, 7, 46337, 65521])
+def test_prime_field_inverse_matches_fermat(p):
+    F = GF(p)
+    assert [F.inv(a) for a in range(1, p)] == \
+        [pow(a, p - 2, p) for a in range(1, p)]
+
+
+def berlekamp_every_constant(f):
+    """Reference: the Berlekamp split that tries gcd(u, g - c) for every
+    constant c of the field, which the quadratic-character split replaced.
+    Kept verbatim apart from its name."""
+    from orthomono.field import poly_powmod
+    from orthomono.linalg import Matrix, kernel
+    F = f.field
+    n = f.degree
+    if n <= 1:
+        return [f]
+    x = Poly.x(F)
+    xq = poly_powmod(x, F.q, f)
+    rows = []
+    cur = Poly.const(F, 1)
+    for i in range(n):
+        coef = list(cur.coeffs) + [0] * (n - len(cur.coeffs))
+        rows.append(coef)
+        cur = (cur * xq) % f
+    for i in range(n):
+        rows[i][i] = F.sub(rows[i][i], 1)
+    fixed = kernel(Matrix(F, rows).T).basis
+    r = len(fixed)
+    if r == 1:
+        return [f]
+    factors = [f]
+    for vec in fixed:
+        g = Poly(F, vec)
+        if g.degree <= 0:
+            continue
+        nxt = []
+        for u in factors:
+            if u.degree == 1:
+                nxt.append(u)
+                continue
+            rem = u
+            pieces = []
+            for c in range(F.q):
+                if rem.degree <= 0:
+                    break
+                d = poly_gcd(rem, g - Poly.const(F, c))
+                if d.degree > 0:
+                    pieces.append(d)
+                    rem = rem // d
+            nxt.extend(pieces if pieces else [u])
+        factors = nxt
+        if len(factors) == r:
+            break
+    if len(factors) != r:
+        raise AlgebraError("factor count off after the Berlekamp sweep")
+    return factors
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (3, 2), (3, 3)])
+def test_factor_matches_the_every_constant_split(p, k, monkeypatch):
+    import random
+    from orthomono import field
+    rng = random.Random(9 * p + k)
+    F = GF(p, k)
+    polys = []
+    for _ in range(40):
+        f = Poly.const(F, 1)
+        for _ in range(rng.randint(1, 4)):
+            f = f * Poly(F, [rng.randrange(F.q)
+                             for _ in range(rng.randint(1, 4))] + [1])
+        polys.append(f)
+    got = [poly_factor(f) for f in polys]
+    monkeypatch.setattr(field, "_berlekamp_squarefree",
+                        berlekamp_every_constant)
+    assert got == [poly_factor(f) for f in polys]
+    assert sum(len(fs) > 2 for fs in got) >= 10
+
+
+def test_factor_over_gf_3_10():
+    # the every-constant split took seconds here: 59049 gcds per factor
+    F = GF(3, 10)
+    f = Poly(F, (1, 1, 1, 1, 1))  # the fifth cyclotomic polynomial
+    facs = poly_factor(f)
+    assert [(g.degree, e) for g, e in facs] == [(2, 1), (2, 1)]
+    assert facs[0][0] * facs[1][0] == f

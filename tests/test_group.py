@@ -11,6 +11,7 @@ from orthomono.form import (
     QuadraticSpace,
     anisotropic_lines,
     is_isometry,
+    validate_decomposition,
 )
 from orthomono.group import (
     DEFAULT_BOUND,
@@ -179,7 +180,7 @@ def test_fixed_space_cases():
 def test_setwise_stabilizer_o33():
     space, D = axes_decomposition(F3, 3)
     G = orthogonal_group(space)
-    H = setwise_stabilizer(G, D, 0)
+    H = setwise_stabilizer(G, validate_decomposition(D, G), 0)
     assert H.order == 16  # 48 / 3 by orbit-stabilizer
     part = D.parts[0]
     assert all(part.image(g) == part for g in H.enumerate())
@@ -197,7 +198,7 @@ def test_orbit_stabilizer_property():
     cases.append((wreathish, D5))
     for G, D in cases:
         for i in range(D.k):
-            H = setwise_stabilizer(G, D, i)
+            H = setwise_stabilizer(G, validate_decomposition(D, G), i)
             orbit = {D.parts[i].image(g) for g in G.enumerate()}
             assert G.order == len(orbit) * H.order
 
@@ -243,7 +244,7 @@ def test_stabilizer_matches_every_element_filter_on_test_groups():
     for G, D in stabilizer_cases():
         for i in range(D.k):
             gens, order = every_element_stabilizer(G, D, i)
-            H = setwise_stabilizer(G, D, i)
+            H = setwise_stabilizer(G, validate_decomposition(D, G), i)
             assert H.gens == gens
             assert H.order == order
 
@@ -255,7 +256,7 @@ def test_stabilizer_matches_every_element_filter_on_wreaths(F, n, kind):
     G, D = wreath_on_axes(F, n, kind)
     for i in (0, n - 1):
         gens, order = every_element_stabilizer(G, D, i)
-        H = setwise_stabilizer(G, D, i)
+        H = setwise_stabilizer(G, validate_decomposition(D, G), i)
         assert H.gens == gens
         assert H.order == order == G.order // n
 
@@ -268,15 +269,18 @@ def test_stabilizer_reads_generators_only(monkeypatch):
         raise AssertionError("setwise_stabilizer enumerated G")
 
     monkeypatch.setattr(G, "enumerate", refuse)
-    assert setwise_stabilizer(G, D, 2).gens == want
+    action = validate_decomposition(D, G)
+    assert setwise_stabilizer(G, action, 2).gens == want
 
 
 def test_setwise_stabilizer_rejects_non_invariant():
     from orthomono.errors import NotInvariant
     space, D = axes_decomposition(F5, 3)
     G = orthogonal_group(space)
+    # the stabilizer reads the parts' permutations, which exist only for
+    # an invariant decomposition
     with pytest.raises(NotInvariant):
-        setwise_stabilizer(G, D, 0)
+        setwise_stabilizer(G, validate_decomposition(D, G), 0)
 
 
 def test_perm_image_examples():
@@ -558,7 +562,7 @@ def test_membership_checks_field_and_shape():
 
 def test_stabilizer_keeps_the_closure_of_its_reduction(monkeypatch):
     G, D = wreath_on_axes(F5, 5, "AGL")
-    H = setwise_stabilizer(G, D, 1)
+    H = setwise_stabilizer(G, validate_decomposition(D, G), 1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("H was closed again")
@@ -571,9 +575,10 @@ def test_orbit_stabilizer_check_reads_the_closure_of_g(monkeypatch):
     # a closure of G one element short: |H| k = |G| fails, and the check
     # runs only when G's closure is known
     G, D = wreath_on_axes(F3, 5, "C")
-    assert setwise_stabilizer(G, D, 0).order == G.order // 5
+    action = validate_decomposition(D, G)
+    assert setwise_stabilizer(G, action, 0).order == G.order // 5
     G._closure = dict(list(G._closure.items())[:-1])
     with pytest.raises(group.AlgebraError, match="Schreier generators"):
-        setwise_stabilizer(G, D, 0)
+        setwise_stabilizer(G, action, 0)
     G._closure = None
-    assert setwise_stabilizer(G, D, 0).order == 2 ** 5 * 5 // 5
+    assert setwise_stabilizer(G, action, 0).order == 2 ** 5 * 5 // 5

@@ -1,5 +1,9 @@
+import contextlib
+import random
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthomono.errors import (
     NotAbelian,
@@ -8,7 +12,7 @@ from orthomono.errors import (
     ParityViolation,
     ZeroVector,
 )
-from orthomono.field import GF
+from orthomono.field import GF, poly_factor
 from orthomono.form import QuadraticSpace
 from orthomono import modrep
 from orthomono.group import MatrixGroup, PermGroup, closure, \
@@ -16,8 +20,12 @@ from orthomono.group import MatrixGroup, PermGroup, closure, \
 from orthomono.linalg import (
     Matrix,
     Subspace,
+    charpoly,
+    eval_poly,
     extend_scalars,
+    kernel,
     primary_components,
+    projective_lines,
     vec,
 )
 from orthomono.modrep import (
@@ -154,6 +162,243 @@ def test_is_irreducible_matches_exhaustive_reference():
     ]
     for G in catalog:
         assert bool(is_irreducible(G)) == _exhaustive_irreducible(G)
+
+
+# --- the Holt-Rees pass -----------------------------------------------------
+
+
+def has_nullity_one_word(G):
+    return any(kernel(a).dim == 1 for a in modrep._word_candidates(G.gens))
+
+
+def decisive_null_space(G):
+    """The null space that `is_irreducible` spins: of the first nullity-one
+    word, else of the first word and irreducible characteristic factor f
+    with nullity deg f.  None when no word has one, and only the line
+    sweep decides."""
+    for a in modrep._word_candidates(G.gens):
+        if kernel(a).dim == 1:
+            return kernel(a)
+    for a in modrep._word_candidates(G.gens):
+        for f, _ in poly_factor(charpoly(a)):
+            if kernel(eval_poly(f, a)).dim == f.degree:
+                return kernel(eval_poly(f, a))
+    return None
+
+
+def signed_perm(F, perm, signs):
+    """The matrix e_i -> signs[i] e_perm[i]."""
+    return perm_matrix(F, perm) @ Matrix.diag(F, [s % F.p for s in signs])
+
+
+def wreath_pair(F, K, seed):
+    """A fixed search for two elements of 2^n:K that generate it and have
+    no nullity-one word, like the benchmark's random generator pairs."""
+    W = wreath_construct(K, unit_space(F, K.degree)).group
+    elements = W.enumerate()
+    rng = random.Random(seed)
+    while True:
+        G = MatrixGroup(rng.sample(elements, 2))
+        if not has_nullity_one_word(G) and G.order == W.order:
+            return G
+
+
+def signed_pairs(F, n, seed, irreducible):
+    """Signed-permutation pairs with no nullity-one word and the given
+    verdict of the exhaustive reference, by a fixed search."""
+    rng = random.Random(seed)
+    while True:
+        G = MatrixGroup([
+            signed_perm(F, rng.sample(range(n), n),
+                        [rng.choice((1, -1)) for _ in range(n)])
+            for _ in range(2)])
+        if not has_nullity_one_word(G) and \
+                _exhaustive_irreducible(G) == irreducible:
+            yield G
+
+
+def doubled(F, blocks):
+    """diag(b, b) for each block b.  For every word theta and irreducible
+    f, ker f(theta) is a doubled sum of copies of an F[x]/(f)-module, so
+    its dimension is never deg f."""
+    d = len(blocks[0])
+    out = []
+    for b in blocks:
+        a = np.zeros((2 * d, 2 * d), dtype=np.int32)
+        a[:d, :d] = a[d:, d:] = b
+        out.append(Matrix(F, a))
+    return MatrixGroup(out)
+
+
+def holt_rees_catalog():
+    """(group, irreducible) pairs, none with a nullity-one word."""
+    F9 = GF(3, 2)
+    irreducible = [wreath_pair(F5, PermGroup.dihedral(5), 1),
+                   wreath_pair(F9, PermGroup.symmetric(3), 1),
+                   wreath_pair(F9, PermGroup.cyclic(3), 2)]
+    irreducible += [next(signed_pairs(F, n, 3, True))
+                    for F, n in ((F3, 5), (F9, 3))]
+    reducible = [next(signed_pairs(F, n, 4, False))
+                 for F, n in ((F3, 5), (F5, 3), (F5, 5), (F9, 3))]
+    return [(G, True) for G in irreducible] + \
+        [(G, False) for G in reducible]
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return holt_rees_catalog()
+
+
+def test_holt_rees_matches_exhaustive_reference(catalog):
+    assert len(catalog) == 9
+    for G, irreducible in catalog:
+        assert not has_nullity_one_word(G)
+        assert decisive_null_space(G) is not None
+        assert _exhaustive_irreducible(G) == irreducible
+        res = is_irreducible(G)
+        assert bool(res) == irreducible
+        if not irreducible:
+            assert 0 < res.witness.dim < G.dim
+            for g in G.gens:
+                assert res.witness.image(g) == res.witness
+
+
+def test_irreducible_inputs_decide_without_the_line_sweep(monkeypatch,
+                                                         catalog):
+    def refuse(*args):
+        raise AssertionError("the line sweep ran")
+
+    monkeypatch.setattr(modrep, "projective_lines", refuse)
+    for G, irreducible in catalog:
+        assert bool(is_irreducible(G)) == irreducible
+
+
+def test_transposed_spin_finds_what_the_first_spin_misses():
+    # non-split extensions whose decisive null vector generates everything:
+    # only the annihilator of the submodule, spun under the transposed
+    # generators, shows the reducibility
+    cases = [
+        # upper triangular over GF(5): Norton's case f = x, from g + h
+        (MatrixGroup([Matrix(F5, [[3, 1], [0, 1]]),
+                      Matrix(F5, [[1, 4], [0, 4]])]), True),
+        # 1 + 2 block triangular over GF(3): f of degree one
+        (MatrixGroup([Matrix(F3, [[1, 2, 1], [0, 1, 0], [0, 0, 2]]),
+                      Matrix(F3, [[1, 0, 0], [0, 0, 1], [0, 2, 2]])]), False),
+        # 2 + 2 block triangular over GF(3): f = x^2 + 2x + 2
+        (MatrixGroup([Matrix(F3, [[1, 0, 1, 2], [0, 1, 2, 0],
+                                  [0, 0, 0, 1], [0, 0, 1, 1]]),
+                      Matrix(F3, [[2, 2, 0, 1], [2, 1, 1, 0],
+                                  [0, 0, 2, 2], [0, 0, 0, 1]])]), False),
+    ]
+    for G, nullity_one in cases:
+        assert has_nullity_one_word(G) == nullity_one
+        assert spin(decisive_null_space(G).basis[0], G).dim == G.dim
+        assert not _exhaustive_irreducible(G)
+        res = is_irreducible(G)
+        assert not res
+        assert 0 < res.witness.dim < G.dim
+        for g in G.gens:
+            assert res.witness.image(g) == res.witness
+    assert is_irreducible(cases[0][0]).witness == Subspace(F5, 2, [[1, 0]])
+
+
+@contextlib.contextmanager
+def counted_sweeps():
+    """Records each call of the line sweep's `projective_lines`."""
+    calls = []
+    real = modrep.projective_lines
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    modrep.projective_lines = counting
+    try:
+        yield calls
+    finally:
+        modrep.projective_lines = real
+
+
+def test_line_sweep_runs_only_without_a_holt_rees_factor(catalog):
+    rotation = [[0, 1], [2, 0]]
+    no_factor = [
+        MatrixGroup([Matrix.diag(F3, [2, 2, 2])]),
+        MatrixGroup([Matrix.diag(F5, [2] * 5), Matrix.diag(F5, [4] * 5)]),
+        doubled(F3, [rotation, [[1, 0], [0, 2]]]),
+        doubled(F5, [CYCLE3, [[4, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+    ]
+    for G in no_factor + [G for G, _ in catalog]:
+        with counted_sweeps() as calls:
+            res = is_irreducible(G)
+        assert bool(calls) == (decisive_null_space(G) is None)
+        assert bool(res) == _exhaustive_irreducible(G)
+    assert all(decisive_null_space(G) is None for G in no_factor)
+
+
+def line_orbit_representatives(G):
+    """One line from each orbit of G on the lines of F^n.  spin(g v) is
+    g spin(v), so spinning these decides what spinning every line does."""
+    F, n = G.field, G.dim
+    lines = np.stack(projective_lines(F, n))
+    place = F.q ** np.arange(n, dtype=np.int64)
+
+    def keys(rows):  # the least code among the nonzero multiples
+        return np.min([F.vscale(c, rows).astype(np.int64) @ place
+                       for c in range(1, F.q)], axis=0)
+
+    index = {k: i for i, k in enumerate(keys(lines).tolist())}
+    images = [[index[k] for k in keys(F.mat_mul(lines, g.a.T)).tolist()]
+              for g in G.gens]
+    seen = set()
+    reps = []
+    for start in range(len(lines)):
+        if start in seen:
+            continue
+        reps.append(lines[start])
+        seen.add(start)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for image in images:
+                if image[i] not in seen:
+                    seen.add(image[i])
+                    stack.append(image[i])
+    return reps
+
+
+def test_line_orbit_reference_matches_every_line(catalog):
+    for G, irreducible in catalog:
+        if G.field.q ** G.dim <= 3125:
+            assert all(spin(v, G).dim == G.dim
+                       for v in line_orbit_representatives(G)) == irreducible
+
+
+SIGNED_PAIRS = st.tuples(
+    st.sampled_from([F3, F5, GF(3, 2)]), st.sampled_from([3, 5])).flatmap(
+    lambda fn: st.tuples(
+        st.just(fn[0]),
+        st.lists(st.tuples(st.permutations(range(fn[1])),
+                           st.lists(st.sampled_from([1, -1]),
+                                    min_size=fn[1], max_size=fn[1])),
+                 min_size=2, max_size=2)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(SIGNED_PAIRS)
+def test_holt_rees_property_on_signed_permutation_pairs(case):
+    F, pairs = case
+    G = MatrixGroup([signed_perm(F, perm, signs) for perm, signs in pairs])
+    want = all(spin(v, G).dim == G.dim
+               for v in line_orbit_representatives(G))
+    with counted_sweeps() as calls:
+        res = is_irreducible(G)
+    assert bool(res) == want
+    assert bool(calls) == (decisive_null_space(G) is None)
+    if not want:
+        assert 0 < res.witness.dim < G.dim
+        for g in G.gens:
+            assert res.witness.image(g) == res.witness
 
 
 # --- algebra span -----------------------------------------------------------

@@ -490,8 +490,9 @@ def test_coset_representatives_match_element_bfs(monkeypatch):
     calls = []
     real = monomial_mod._coset_representatives
 
-    def compare(G, D):
-        got = real(G, D)
+    def compare(G, action):
+        got = real(G, action)
+        D = action.decomposition
         assert got == element_bfs_coset_representatives(G, D)
         calls.append(D.k)
         return got
@@ -512,10 +513,10 @@ def test_orbit_stabilizer_check_runs_at_every_level(monkeypatch):
     known = []
     real = monomial_mod.setwise_stabilizer
 
-    def spy(G, D, i):
+    def spy(G, action, i):
         known.append(G._closure is not None)
-        H = real(G, D, i)
-        assert H.order * D.k == G.order
+        H = real(G, action, i)
+        assert H.order * action.decomposition.k == G.order
         return H
 
     monkeypatch.setattr(monomial_mod, "setwise_stabilizer", spy)
@@ -523,3 +524,22 @@ def test_orbit_stabilizer_check_runs_at_every_level(monkeypatch):
         known.clear()
         monomialize(*build())
         assert known == [True] * levels
+
+
+def test_one_permutation_action_per_level(monkeypatch):
+    # monomialize validates each level's decomposition once and hands the
+    # action to setwise_stabilizer and _coset_representatives
+    import orthomono.form as form_mod
+    parts = []
+    real = form_mod.validate_decomposition
+
+    def counting(D, G):
+        parts.append(D.k)
+        return real(D, G)
+
+    for mod in (form_mod, group_mod, monomial_mod):
+        monkeypatch.setattr(mod, "validate_decomposition", counting)
+    for build, levels in ((deep_block_group, [3, 3]), (wreath_c5_group, [5])):
+        parts.clear()
+        monomialize(*build())
+        assert parts == levels
