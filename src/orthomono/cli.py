@@ -27,7 +27,7 @@ from .errors import AlgebraError, EvenDimension, HypothesisViolated, \
     ParseError, TooLarge
 from .field import GF, POLICY_MAX_Q, FieldSpec, prime_factors
 from .form import QuadraticSpace
-from .group import MatrixGroup, PermGroup, orthogonal_group
+from .group import MatrixGroup, PermGroup, derived_series, orthogonal_group
 from .linalg import Matrix
 from .modrep import is_irreducible
 from .monomial import check_certificate, monomialize
@@ -297,7 +297,9 @@ def cmd_check_theorem(args, out=sys.stdout):
             continue
         ran += 1
         try:
-            cert = monomialize(G, space)
+            # the hypotheses hold: n is odd, the class is a solvable group
+            # of isometries, and its irreducibility was just tested
+            cert = monomialize(G, space, derived_series(G))
             report = check_certificate(cert, G)
         except AlgebraError as exc:
             failures += 1

@@ -1,16 +1,19 @@
 """Finite matrix group engine at desk scale.
 
-Groups are given by generators and closed by one batched breadth-first
-closure (with a size bound) that serves every field.  A group caches that
-unsorted closure; order and membership read it.  The element list sorted by
-a canonical byte encoding, whose indices are reproducible across runs and
-independent of the closure strategy, is built only when asked for (Cayley
-tables, maximality sweeps).  Each derived term is a normal closure built by
-membership in the closure so far.  The setwise stabilizer of a part never
-enumerates G: Schreier generators from a transversal of the part's orbit
-give the stabilizer, which alone is enumerated.
+Groups are given by generators and closed by one batched Dimino closure
+(with a size bound) that serves every field: the group closed so far is
+extended by one generator at a time, a whole right coset at a time, so
+closing G forms about |G| products.  A group caches that unsorted closure;
+order and membership read it.  The element list sorted by a canonical byte
+encoding, whose indices are reproducible across runs and independent of the
+closure strategy, is built only when asked for (Cayley tables, maximality
+sweeps).  Each derived term is a normal closure built by membership in the
+closure so far, which each kept generator extends.  The setwise stabilizer
+of a part never enumerates G: Schreier generators from a transversal of the
+part's orbit give the stabilizer, which alone is enumerated.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,46 +30,135 @@ from .form import anisotropic_lines, is_isometry, validate_decomposition
 from .linalg import Matrix, kernel
 
 DEFAULT_BOUND = 10 ** 6
-# Most products one closure step forms at once: each generation's frontier
-# is multiplied in slices, so the transient product arrays stay small
-# however large the group.
+# Most products one closure step forms at once: candidate representatives
+# and cosets are multiplied in slices, so the transient product arrays stay
+# small however large the group.
 BLOCK = 1 << 12
+
+
+def _products(F, A, B):
+    """P[j, i] = A[i] B[j] for stacks A and B of n x n entry arrays, as a
+    C-contiguous int32 stack, in one FieldSpec.mat_mul: A's elements stacked
+    as rows times B's elements laid side by side."""
+    (a, n, _), b = A.shape, len(B)
+    P = F.mat_mul(A.reshape(a * n, n), B.transpose(1, 0, 2).reshape(n, b * n))
+    return np.ascontiguousarray(P.reshape(a, n, b, n).transpose(2, 0, 1, 3),
+                                dtype=np.int32)
+
+
+def _keys(stack):
+    """The entry bytes of each matrix of a C-contiguous int32 stack, in one
+    pass."""
+    n = stack.shape[-1]
+    return stack.reshape(-1, n * n).view(f"V{4 * n * n}").ravel().tolist()
+
+
+class _Closure:
+    """A matrix group closed so far, grown one generator at a time by
+    Dimino's coset algorithm.
+
+    Each element is stored once: `parts` are int32 stacks whose
+    concatenation lists the elements in the order of `keys` (their entry
+    bytes), identity first.  Extending the group H closed so far by g adds
+    right cosets H r of <H, g>.  The set closed so far is a union of right
+    cosets of H, so a candidate r = r' s (r' a representative found in the
+    previous generation, s a generator) either lies in it or starts a coset
+    that is new as a whole: only candidates are looked up, and the elements
+    of a new coset are keyed without a lookup."""
+
+    def __init__(self, F, n, bound):
+        eye = np.eye(n, dtype=np.int32)
+        self.field, self.bound = F, bound
+        self.keys = {eye.tobytes(): None}
+        self.parts = [eye[None]]
+        self.gens = self.parts[0][:0]
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __contains__(self, key):
+        return key in self.keys
+
+    def extend(self, g):
+        """Close the set under one more generator, the entry array g; a
+        generator already in the set costs one lookup."""
+        if g.tobytes() in self.keys:
+            return
+        H = np.concatenate(self.parts) if len(self.parts) > 1 \
+            else self.parts[0]
+        self.parts = [H]
+        self.gens = np.concatenate([self.gens, g[None]])
+        n = H.shape[1]
+        step = max(1, BLOCK // len(self.gens))
+        reps = self._add_cosets(H, g[None])  # the identity's new candidate
+        while len(reps):
+            reps = np.concatenate([self._add_cosets(H, _products(
+                self.field, reps[lo:lo + step], self.gens).reshape(-1, n, n))
+                for lo in range(0, len(reps), step)])
+
+    def _add_cosets(self, H, cand):
+        """Add the new cosets H r for r in the stack cand of candidate
+        representatives, and return their representatives.  The candidates
+        are keyed in one pass; those outside the set make cosets in batches
+        of about BLOCK / |H|, keyed in one pass per batch.  Two cosets of a
+        batch are equal or disjoint, so a coset is kept when none before it
+        in its batch holds its representative."""
+        keys, h = self.keys, len(H)
+        n = H.shape[1]
+        fresh = {}
+        for i, key in enumerate(_keys(cand)):
+            if key not in keys:
+                fresh.setdefault(key, i)
+        todo = list(fresh.items())
+        per = max(1, BLOCK // h)
+        found = [H[:0]]
+        for lo in range(0, len(todo), per):
+            batch = [i for key, i in todo[lo:lo + per] if key not in keys]
+            if not batch:
+                continue
+            cosets = self._cosets(H, cand[batch])
+            got = _keys(cosets)
+            new = dict.fromkeys(got)  # in order of first occurrence
+            if len(new) < len(got):
+                first = dict(zip(reversed(got), range(len(got) - 1, -1, -1)))
+                cosets = cosets[[b for b in range(len(batch))
+                                 if first[got[b * h]] == b * h]]
+            if len(keys) + len(new) > self.bound:
+                raise BoundExceeded(f"group exceeds bound {self.bound}")
+            keys.update(new)
+            self.parts.append(cosets.reshape(-1, n, n))
+            found.append(cosets[:, 0])
+        return np.concatenate(found)
+
+    def _cosets(self, H, Y):
+        """The cosets H y for y in Y as one (len(Y), |H|, n, n) stack, in
+        slices of at most BLOCK products; H y starts with y."""
+        out = np.empty((len(Y),) + H.shape, np.int32)
+        out[:, 0] = Y
+        step = max(1, BLOCK // len(Y))
+        for lo in range(1, len(H), step):
+            out[:, lo:lo + step] = _products(self.field, H[lo:lo + step], Y)
+        return out
+
+    def span(self):
+        """The set as a dict from entry bytes to entry array, identity
+        first; the arrays are views of the stored stacks."""
+        return dict(zip(self.keys, itertools.chain.from_iterable(self.parts)))
 
 
 def closure(gens, bound=DEFAULT_BOUND):
     """Every element of <gens> (square Matrix generators over one field) as
     a dict from entry bytes to entry array, identity first.
 
-    Breadth-first: each generation lays its frontier's columns side by side
-    and multiplies that block by all the generators stacked, in one
-    FieldSpec.mat_mul per slice of at most BLOCK products."""
-    F, n = gens[0].field, gens[0].rows
-    stacked = np.concatenate([g.a for g in gens])
-    eye = np.eye(n, dtype=np.int32)
-    seen = {eye.tobytes(): eye}
-    frontier = eye[None]
-    step = max(1, BLOCK // len(gens))
-    while len(frontier):
-        found = []
-        for lo in range(0, len(frontier), step):
-            part = frontier[lo:lo + step]
-            f = len(part)
-            flat = part.transpose(1, 0, 2).reshape(n, f * n)
-            prods = np.ascontiguousarray(
-                F.mat_mul(stacked, flat).reshape(-1, n, f, n)
-                .transpose(0, 2, 1, 3), dtype=np.int32).reshape(-1, n, n)
-            fresh = {}
-            for i, m in enumerate(prods):
-                key = m.tobytes()
-                if key not in seen:
-                    fresh.setdefault(key, i)
-            if len(seen) + len(fresh) > bound:
-                raise BoundExceeded(f"group exceeds bound {bound}")
-            new = prods[list(fresh.values())]  # a copy: prods is freed
-            seen.update(zip(fresh, new))
-            found.append(new)
-        frontier = np.concatenate(found)
-    return seen
+    Dimino's closure: the group is extended by one generator at a time, a
+    whole right coset of the group closed so far at a time (_Closure).  A
+    coset of the group H closed so far is one FieldSpec.mat_mul of H's
+    stacked elements by its representative, so closing G forms about |G|
+    products plus one per candidate representative."""
+    c = _Closure(gens[0].field, gens[0].rows, bound)
+    for g in gens:
+        c.extend(g.a)
+    return c.span()
 
 
 # perfbench/spans.py counts materialized elements by wrapping this older
@@ -104,17 +196,29 @@ class MatrixGroup:
             if g not in seen and not g.is_identity():
                 uniq.append(g)
                 seen.add(g)
-        if not uniq:
-            uniq = [Matrix.identity(field, n)]
-        self.field = field
-        self.dim = n
-        self.gens = uniq
+        self._fill(uniq or [Matrix.identity(field, n)], space, bound, name)
+
+    def _fill(self, gens, space, bound, name, span=None):
+        self.field = gens[0].field
+        self.dim = gens[0].rows
+        self.gens = gens
         self.space = space
         self.bound = bound
         self.name = name
-        self._closure = None
+        self._closure = span
         self._elements = None
         self._index = None
+
+    @classmethod
+    def closed(cls, gens, span, space=None, bound=DEFAULT_BOUND):
+        """The group of `gens` with its closure `span` (entry bytes -> entry
+        array) already built.  The generators are taken as they are: they
+        must be distinct non-identity products of a checked group's
+        generators (or the identity alone), so shape, invertibility and
+        isometry hold without a check."""
+        G = cls.__new__(cls)
+        G._fill(list(gens), space, bound, "", span)
+        return G
 
     @classmethod
     def trivial(cls, field, n, space=None):
@@ -181,14 +285,14 @@ def reduce_generators(elements, identity):
 def _reduce(elements, identity):
     """reduce_generators, with the closure of the generators it kept."""
     gens = []
-    span = {identity._key[2]: identity.a}
+    span = _Closure(identity.field, identity.rows, DEFAULT_BOUND)
     for x in elements:
         if x._key[2] not in span:
             gens.append(x)
-            span = closure(gens)
+            span.extend(x.a)
             if len(span) == len(elements):
                 break
-    return gens, span
+    return gens, span.span()
 
 
 def derived_series(G):
@@ -198,9 +302,9 @@ def derived_series(G):
 
     A term is built by membership: a commutator, or a conjugate g^-1 n g
     of a newly kept generator n by a generator g of G(i), is kept as a
-    generator only when it lies outside the closure of those kept so far.
-    Each term caches the closure it was built with, and no element list is
-    sorted."""
+    generator only when it lies outside the closure of those kept so far,
+    and that closure is then extended by it.  Each term caches the closure
+    it was built with, and no element list is sorted."""
     terms = [G]
     while terms[-1].order > 1:
         cur = terms[-1]
@@ -210,18 +314,16 @@ def derived_series(G):
                  for i, a in enumerate(gens)
                  for j, b in enumerate(gens) if i < j]
         kept = []
-        span = {cur.identity._key[2]: cur.identity.a}
+        span = _Closure(G.field, G.dim, G.bound)
         for x in queue:  # grows while it is read
             if x._key[2] not in span:
                 kept.append(x)
-                span = closure(kept, G.bound)
+                span.extend(x.a)
                 queue.extend(gi @ x @ g for g, gi in zip(gens, inverses))
         if all(g._key[2] in span for g in gens):
             break  # stabilized above the trivial group
-        nxt = MatrixGroup(kept or [cur.identity], space=G.space,
-                          bound=G.bound)
-        nxt._closure = span
-        terms.append(nxt)
+        terms.append(MatrixGroup.closed(kept or [cur.identity], span.span(),
+                                        G.space, G.bound))
     return terms
 
 
@@ -299,9 +401,7 @@ def setwise_stabilizer(G, action, part_index):
     # orbit-stabilizer, whenever |G| is known without closing G here
     if G._closure is not None and len(stab) * len(orbit) != G.order:
         raise AlgebraError("Schreier generators miss stabilizer elements")
-    H = MatrixGroup(small or [G.identity], space=G.space, bound=G.bound)
-    H._closure = span
-    return H
+    return MatrixGroup.closed(small or [G.identity], span, G.space, G.bound)
 
 
 class PermGroup:

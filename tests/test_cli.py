@@ -182,6 +182,36 @@ def test_check_theorem_small(tmp_path):
     assert "failures: 0" in output
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_check_theorem_tests_each_class_once(monkeypatch, q):
+    # the command's own irreducibility test stands in for the one in
+    # monomialize's hypothesis check: each class is tested exactly once
+    import orthomono.cli as cli
+    import orthomono.monomial as monomial
+
+    tested = []
+
+    def counting(real):
+        def wrapper(G):
+            tested.append(G)  # kept alive, so ids stay distinct
+            return real(G)
+        return wrapper
+
+    monkeypatch.setattr(cli, "is_irreducible", counting(cli.is_irreducible))
+    monkeypatch.setattr(monomial, "is_irreducible",
+                        counting(monomial.is_irreducible))
+    hypotheses = []
+    monkeypatch.setattr(monomial, "_check_hypotheses",
+                        lambda *a: hypotheses.append(a))
+    code, output = run(["check-theorem", "3", str(q)])
+    assert code == 0 and "failures: 0" in output
+    assert hypotheses == []
+    assert len(tested) == len({id(G) for G in tested})
+    ran = int(output.split("irreducible solvable classes: ")[1].split(",")[0])
+    # every class once in the command, plus one H_res per certificate
+    assert len(tested) > ran > 0
+
+
 def test_check_theorem_even_rejected():
     code, output = run(["check-theorem", "2", "5"])
     assert code == 2

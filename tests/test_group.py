@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -315,8 +316,8 @@ def test_perm_group_basics():
     assert not PermGroup.symmetric(6).is_solvable()
 
 
-# -- reference: Dimino's coset closure, the matrix closure this package used
-# before the batched breadth-first one, kept verbatim ---------------------
+# -- reference: Dimino's coset closure one element at a time, the matrix
+# closure this package used before the batched ones, kept verbatim ---------
 
 def dimino(gens, identity, bound=DEFAULT_BOUND):
     """Full element list of <gens> by Dimino's inductive coset algorithm.
@@ -398,6 +399,10 @@ def test_closure_matches_dimino(monkeypatch):
             seen = closure(gens, bound=len(ref))
             assert set(seen) == {m._key[2] for m in ref}
             assert all(key == m.tobytes() for key, m in seen.items())
+            assert next(iter(seen)) == eye._key[2]
+            # the element set does not depend on the generator order
+            for order in (gens[::-1], gens[1:] + gens[:1]):
+                assert set(closure(order, bound=len(ref))) == set(seen)
             with pytest.raises(BoundExceeded):
                 closure(gens, bound=len(ref) - 1)
     # the cases reach cyclic, dihedral and whole orthogonal groups
@@ -582,3 +587,80 @@ def test_orbit_stabilizer_check_reads_the_closure_of_g(monkeypatch):
         setwise_stabilizer(G, action, 0)
     G._closure = None
     assert setwise_stabilizer(G, action, 0).order == 2 ** 5 * 5 // 5
+
+
+def random_generator_lists(F, rng, lists=3, length=4):
+    """Lists of reflections and products of two reflections of the unit
+    form on F^3, drawn by `rng`."""
+    R = [reflection(unit_space(F, 3), v)
+         for v in anisotropic_lines(unit_space(F, 3))]
+    for _ in range(lists):
+        yield [rng.choice(R) @ rng.choice(R) if rng.random() < 0.5
+               else rng.choice(R) for _ in range(length)]
+
+
+@pytest.mark.parametrize("F", [F3, GF(3, 2), GF(5, 2)], ids=str)
+def test_extension_matches_closure_from_scratch(F):
+    # extending the closure of a prefix by the next generator gives the
+    # closure of the longer prefix, closed from scratch in reverse order
+    rng = random.Random(f"extend {F}")
+    for gens in random_generator_lists(F, rng):
+        c = group._Closure(F, 3, DEFAULT_BOUND)
+        for k, g in enumerate(gens, 1):
+            c.extend(g.a)
+            span = c.span()
+            want = closure(gens[:k][::-1])
+            assert set(span) == set(want)
+            assert all(key == m.tobytes() for key, m in span.items())
+            assert all(g._key[2] in c for g in gens[:k])
+
+
+def test_bound_is_crossed_inside_an_extension():
+    # <R_0, R_i> is closed within the bound; extending it by a third
+    # reflection would add its cosets past the bound, and the set never
+    # exceeds the bound
+    F = F5
+    R = [reflection(unit_space(F, 3), v)
+         for v in anisotropic_lines(unit_space(F, 3))]
+    i = max(range(1, len(R)), key=lambda i: element_order(R[0] @ R[i]))
+    a, b, c = R[0], R[i], R[-1]
+    h = len(closure([a, b]))
+    assert h < len(closure([a, b, c])) == 240
+    bound = 2 * h + 1  # room for one coset of <a, b> besides itself
+    grown = group._Closure(F, 3, bound)
+    grown.extend(a.a)
+    grown.extend(b.a)
+    assert len(grown) == h
+    with pytest.raises(BoundExceeded, match=f"^group exceeds bound {bound}$"):
+        grown.extend(c.a)
+    assert len(grown) == 2 * h  # the coset <a, b> c went in first
+    with pytest.raises(BoundExceeded, match=f"^group exceeds bound {bound}$"):
+        closure([a, b, c], bound=bound)
+
+
+def test_reduction_and_derived_series_extend_one_closed_set(monkeypatch):
+    # each kept generator extends the closure so far; closure() runs only
+    # for a group's own order (here G's, once)
+    G, _ = wreath_on_axes(F5, 5, "AGL")
+    elements = list(G.enumerate())
+    calls = []
+    real = group.closure
+
+    def counting(gens, bound=DEFAULT_BOUND):
+        calls.append(len(gens))
+        return real(gens, bound)
+
+    monkeypatch.setattr(group, "closure", counting)
+    small = reduce_generators(elements, G.identity)
+    assert len(small) > 1 and calls == []
+    series = derived_series(MatrixGroup(G.gens, space=G.space))
+    assert calls == [len(G.gens)]
+    assert sum(len(t.gens) for t in series[1:]) > len(series) - 1
+    assert series[-1].order == 1
+
+
+def test_o53_from_all_reflections():
+    space = unit_space(F3, 5)
+    R = [reflection(space, v) for v in anisotropic_lines(space)]
+    assert len(R) == 81
+    assert len(closure(R)) == group.orthogonal_order(5, 3) == 103680

@@ -332,6 +332,37 @@ def test_hypotheses_once_and_one_derived_series_per_level(monkeypatch):
     assert calls["hypotheses"] == 1 and calls["series"] == 1
 
 
+def test_derived_terms_and_stabilizers_check_no_generator(monkeypatch):
+    # generators of derived terms and stabilizers are products of checked
+    # generators: they come with their closure through MatrixGroup.closed,
+    # and only each lower level's restricted stabilizer H_res is built
+    # (and its generators checked) by the constructor
+    G, s = deep_block_group()
+    real_init, real_det = MatrixGroup.__init__, Matrix.det
+    inits, dets, depth = [], [0, 0], [0]
+
+    def init(self, gens, *args, **kwargs):
+        gens = list(gens)
+        inits.append(len(gens))
+        depth[0] += 1
+        try:
+            real_init(self, gens, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def det(self):
+        dets[depth[0] > 0] += 1
+        return real_det(self)
+
+    monkeypatch.setattr(MatrixGroup, "__init__", init)
+    monkeypatch.setattr(Matrix, "det", det)
+    cert = monomialize(G, s)
+    assert len(cert.transport) == 2  # three levels: G and two H_res
+    assert len(inits) == 2
+    assert dets[1] == sum(inits)
+    assert check_certificate(cert, G)
+
+
 def check_certificate_every_element(cert, G):
     """Reference verifier: the every-element sweep that check_certificate
     replaced by the same test on the generators alone."""
