@@ -350,7 +350,7 @@ def cmd_wreath(args, out=sys.stdout):
     doc = write_group_file(
         W.space, W.group.gens,
         header=f"signed permutations over {args.kspec} on {n} points, "
-               f"GF({args.q}); order {W.group.order}")
+               f"GF({args.q}); order {W.order}")
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(doc)

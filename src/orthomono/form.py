@@ -29,7 +29,7 @@ class QuadraticSpace:
     nondegeneracy.
     """
 
-    __slots__ = ("field", "n", "gram")
+    __slots__ = ("field", "n", "gram", "_gram_inverse")
 
     def __init__(self, field, gram, allow_degenerate=False):
         if field.p == 2:
@@ -46,10 +46,18 @@ class QuadraticSpace:
         self.field = field
         self.n = g.rows
         self.gram = g
+        self._gram_inverse = None
 
     @property
     def is_nondegenerate(self):
         return self.gram.det().idx != 0
+
+    @property
+    def gram_inverse(self):
+        """B^-1 as an entry array, computed once; None when B is singular."""
+        if self._gram_inverse is None and self.is_nondegenerate:
+            self._gram_inverse = self.gram.inverse().a
+        return self._gram_inverse
 
     def q_value(self, v):
         """Q(v) = v^T B v as an index."""

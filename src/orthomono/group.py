@@ -3,14 +3,18 @@
 Groups are given by generators and closed by one batched Dimino closure
 (with a size bound) that serves every field: the group closed so far is
 extended by one generator at a time, a whole right coset at a time, so
-closing G forms about |G| products.  A group caches that unsorted closure;
-order and membership read it.  The element list sorted by a canonical byte
-encoding, whose indices are reproducible across runs and independent of the
-closure strategy, is built only when asked for (Cayley tables, maximality
-sweeps).  Each derived term is a normal closure built by membership in the
-closure so far, which each kept generator extends.  The setwise stabilizer
-of a part never enumerates G: Schreier generators from a transversal of the
-part's orbit give the stabilizer, which alone is enumerated.
+closing G forms about |G| products.  A group closes itself only when its
+order, its membership or its element list is asked for; triviality is read
+from the generators.  The element list sorted by a canonical byte encoding,
+whose indices are reproducible across runs and independent of the closure
+strategy, is built only when asked for (Cayley tables, maximality sweeps).
+Each derived term is a normal closure built by membership in the closure so
+far, which each kept generator extends.  The setwise stabilizer of a part
+never enumerates G: Schreier generators from a transversal of the part's
+orbit give the stabilizer, which alone is enumerated.  The certificate
+reads |G| without closing G either: G acts on it as signed permutations,
+and a permutation group's order and membership come from a base and strong
+generating set (deterministic Schreier-Sims).
 """
 
 import itertools
@@ -249,6 +253,12 @@ class MatrixGroup:
     def order(self):
         return len(self._span())
 
+    @property
+    def is_trivial(self):
+        """Read from the generators: the identity is a generator of the
+        trivial group only."""
+        return self.gens[0].is_identity()
+
     def __contains__(self, m):
         return isinstance(m, Matrix) \
             and m._key[:2] == (self.field.key, (self.dim, self.dim)) \
@@ -279,20 +289,50 @@ def element_order(g, bound=DEFAULT_BOUND):
 
 def reduce_generators(elements, identity):
     """Greedy small generating set drawn from a sorted element list."""
-    return _reduce(elements, identity)[0]
+    return _reduce(identity.field, identity.rows,
+                   ((m._key[2], m.a) for m in elements), len(elements))[0]
 
 
-def _reduce(elements, identity):
-    """reduce_generators, with the closure of the generators it kept."""
+def _reduce(F, n, keyed, size):
+    """The greedy reduction over (entry bytes, entry array) pairs of a group
+    of `size` elements in canonical order: the kept generators, as Matrix,
+    and their closure."""
     gens = []
-    span = _Closure(identity.field, identity.rows, DEFAULT_BOUND)
-    for x in elements:
-        if x._key[2] not in span:
-            gens.append(x)
-            span.extend(x.a)
-            if len(span) == len(elements):
+    span = _Closure(F, n, DEFAULT_BOUND)
+    for key, a in keyed:
+        if key not in span:
+            gens.append(Matrix(F, a))
+            span.extend(a)
+            if len(span) == size:
                 break
     return gens, span.span()
+
+
+# Pairwise products X[t] Y[t] are read off the diagonal of X x Y product
+# blocks of at most PAIRS x PAIRS elements.
+PAIRS = 16
+
+
+def _pairwise(F, X, Y):
+    """X[t] Y[t] for stacks X and Y of equal length, as an int32 stack."""
+    out = np.empty(X.shape, np.int32)
+    for lo in range(0, len(X), PAIRS):
+        P = _products(F, X[lo:lo + PAIRS], Y[lo:lo + PAIRS])
+        out[lo:lo + PAIRS] = P[np.arange(len(P)), np.arange(len(P))]
+    return out
+
+
+def _inverses(G, A):
+    """The inverses of the stack A of G's elements.  With a nondegenerate
+    form of Gram matrix B, an isometry g has g^-1 = B^-1 g^T B, so one
+    inverse per space (B's) serves every stack; without a form each element
+    takes its own."""
+    F = G.field
+    binv = None if G.space is None else G.space.gram_inverse
+    if binv is None:
+        return np.stack([Matrix(F, a).inverse().a for a in A])
+    left = _products(F, binv[None], A.transpose(0, 2, 1))[:, 0]
+    return _products(F, left, G.space.gram.a[None])[0]
 
 
 def derived_series(G):
@@ -303,23 +343,37 @@ def derived_series(G):
     A term is built by membership: a commutator, or a conjugate g^-1 n g
     of a newly kept generator n by a generator g of G(i), is kept as a
     generator only when it lies outside the closure of those kept so far,
-    and that closure is then extended by it.  Each term caches the closure
-    it was built with, and no element list is sorted."""
+    and that closure is then extended by it.  The candidates are read in
+    generations: the commutators, then the conjugates of the generators
+    kept from the generation before, each generation formed in product
+    blocks.  Each term caches the closure it was built with, no element
+    list is sorted, and G itself is never closed."""
+    F, n = G.field, G.dim
     terms = [G]
-    while terms[-1].order > 1:
+    while not terms[-1].is_trivial:
         cur = terms[-1]
         gens = cur.gens
-        inverses = [g.inverse() for g in gens]
-        queue = [inverses[i] @ inverses[j] @ a @ b
-                 for i, a in enumerate(gens)
-                 for j, b in enumerate(gens) if i < j]
+        A = np.stack([g.a for g in gens])
+        inv = _inverses(G, A)
+        i, j = np.triu_indices(len(gens), 1)
+        # [a_i, a_j] = a_i^-1 a_j^-1 a_i a_j for i < j, i major
+        batch = _pairwise(F, _products(F, inv, inv)[j, i],
+                          _products(F, A, A)[j, i])
         kept = []
-        span = _Closure(G.field, G.dim, G.bound)
-        for x in queue:  # grows while it is read
-            if x._key[2] not in span:
-                kept.append(x)
-                span.extend(x.a)
-                queue.extend(gi @ x @ g for g, gi in zip(gens, inverses))
+        span = _Closure(F, n, G.bound)
+        while len(batch):
+            fresh = []
+            for x, key in zip(batch, _keys(batch)):
+                if key not in span:
+                    kept.append(Matrix(F, x))
+                    span.extend(x)
+                    fresh.append(x)
+            if not fresh:
+                break
+            # g^-1 x g for each fresh x, then each generator g of G(i)
+            xg = _products(F, np.stack(fresh), A).transpose(1, 0, 2, 3)
+            batch = _pairwise(F, np.tile(inv, (len(fresh), 1, 1)),
+                              xg.reshape(-1, n, n))
         if all(g._key[2] in span for g in gens):
             break  # stabilized above the trivial group
         terms.append(MatrixGroup.closed(kept or [cur.identity], span.span(),
@@ -328,7 +382,7 @@ def derived_series(G):
 
 
 def is_solvable(G):
-    return derived_series(G)[-1].order == 1
+    return derived_series(G)[-1].is_trivial
 
 
 def is_abelian(G):
@@ -344,11 +398,11 @@ def abelian_normal_term(G, series=None):
     """Last nontrivial derived-series term L: abelian, normal in G, and
     contained in [G, G] whenever G is non-abelian.  L is read from
     `series`, the derived series of G, when the caller has it."""
-    if G.order == 1:
+    if G.is_trivial:
         raise TrivialGroup("the trivial group has no abelian normal term")
     if series is None:
         series = derived_series(G)
-    if series[-1].order != 1:
+    if not series[-1].is_trivial:
         raise HypothesisViolated("not solvable",
                                  "derived series does not reach 1")
     L = series[-2]
@@ -375,9 +429,11 @@ def setwise_stabilizer(G, action, part_index):
     under G.gens gives a transversal t_j (t_j W_i = W_j), and by Schreier's
     lemma the elements t_{s(j)}^-1 s t_j, for s in G.gens and j in the
     orbit, generate the stabilizer.  Its |G|/k elements are enumerated and
-    reduced greedily in canonical order, so the generators returned are
-    the same as a filter of G's sorted elements would give; H keeps the
-    closure of those generators."""
+    reduced greedily in canonical order (their sorted entry bytes, with no
+    Matrix per element), so the generators returned are the same as a
+    filter of G's sorted elements would give; H keeps the closure of those
+    generators.  That no stabilizer element is missed (|H| k = |G|) is
+    checked by `monomialize`, which reads |G| from the certificate."""
     perms = action.gen_perms
     transversal = {part_index: G.identity}
     orbit = [part_index]
@@ -393,15 +449,124 @@ def setwise_stabilizer(G, action, part_index):
             h = inverses[perm[j]] @ s @ transversal[j]
             if not h.is_identity():
                 schreier[h] = None
-    stab = sorted_elements(
-        G.field, closure(list(schreier) or [G.identity], G.bound))
-    small, span = _reduce(stab, G.identity)
+    stab = closure(list(schreier) or [G.identity], G.bound)
+    eye, *rest = stab  # entry bytes; within one group, the _key order
+    small, span = _reduce(G.field, G.dim, ((key, stab[key]) for key in
+                                           [eye] + sorted(rest)), len(stab))
     if len(span) != len(stab):
         raise AlgebraError("stabilizer reduction lost elements")  # impossible
-    # orbit-stabilizer, whenever |G| is known without closing G here
-    if G._closure is not None and len(stab) * len(orbit) != G.order:
-        raise AlgebraError("Schreier generators miss stabilizer elements")
     return MatrixGroup.closed(small or [G.identity], span, G.space, G.bound)
+
+
+def _invert(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+class _StabilizerChain:
+    """A base and strong generating set (BSGS) of the group that
+    permutations of {0..degree-1} (tuples of images) generate, by the
+    deterministic Schreier-Sims algorithm (Sims 1970; Handbook of
+    Computational Group Theory, ch. 4), with nothing drawn at random.
+
+    Level i has the base point b_i, the strong generators that fix b_0 ..
+    b_(i-1), and a transversal of the orbit of b_i under them: for each
+    orbit point c, the pair (u, u^-1) of a product u of those generators
+    with u(b_i) = c.  Each new base point is the least point moved by the
+    permutation that needs it.  A Schreier generator u_(s(c))^-1 s u_c that
+    does not sift to the identity through the levels below becomes a
+    strong generator there, and the test resumes at the deepest level it
+    changed.  The levels below only grow, so a level resumes after the
+    Schreier generators it has tested until its own generators change.
+    The order is the product of the orbit lengths, and a
+    permutation lies in the group iff it sifts to the identity.  The
+    transversals hold the sum of the orbit lengths in permutations, at most
+    `bound` of them."""
+
+    def __init__(self, degree, gens, bound=DEFAULT_BOUND):
+        self.identity = tuple(range(degree))
+        self.bound = bound
+        self.base, self.strong, self.orbits, self.tested = [], [], [], []
+        gens = [g for g in gens if g != self.identity]
+        for g in gens:
+            if all(g[b] == b for b in self.base):
+                self._add_level(g)
+        for i in range(len(self.base)):
+            self.strong[i] = [g for g in gens
+                              if all(g[c] == c for c in self.base[:i])]
+            self._orbit(i)
+        i = len(self.base) - 1
+        while i >= 0:
+            changed = self._schreier_test(i)
+            i = i - 1 if changed is None else changed
+
+    def _add_level(self, g):
+        b = next(x for x, y in enumerate(g) if x != y)
+        self.base.append(b)
+        self.strong.append([])
+        self.orbits.append({b: (self.identity, self.identity)})
+        self.tested.append(0)
+
+    def _orbit(self, i):
+        orbit = {self.base[i]: (self.identity, self.identity)}
+        queue = [self.base[i]]
+        for c in queue:  # grows while it is read: breadth-first
+            u = orbit[c][0]
+            for s in self.strong[i]:
+                if s[c] not in orbit:
+                    v = tuple(s[x] for x in u)
+                    orbit[s[c]] = (v, _invert(v))
+                    queue.append(s[c])
+        self.orbits[i] = orbit
+        self.tested[i] = 0
+        if sum(map(len, self.orbits)) > self.bound:
+            raise BoundExceeded(f"group exceeds bound {self.bound}")
+
+    def _schreier_test(self, i):
+        """Sift level i's Schreier generators not tested yet; the first that
+        leaves a nontrivial residue becomes a strong generator, and the
+        deepest level it joined is returned (None when all sift to the
+        identity)."""
+        orbit, b = self.orbits[i], self.base[i]
+        pairs = [(u, s) for u, _ in orbit.values() for s in self.strong[i]]
+        for t in range(self.tested[i], len(pairs)):
+            u, s = pairs[t]
+            w = orbit[s[u[b]]][1]
+            h = tuple(w[s[x]] for x in u)
+            if h == self.identity:
+                continue
+            h, j = self.sift(h, i + 1)
+            if h != self.identity:
+                self.tested[i] = t + 1
+                if j == len(self.base):
+                    self._add_level(h)
+                for level in range(i + 1, j + 1):
+                    self.strong[level].append(h)
+                    self._orbit(level)
+                return j
+        self.tested[i] = len(pairs)
+        return None
+
+    def sift(self, g, start=0):
+        """(residue, level): g stripped by the transversals from level
+        `start` on, and the level where it left an orbit (len(base) when it
+        passed every level)."""
+        for level in range(start, len(self.base)):
+            c = g[self.base[level]]
+            if c not in self.orbits[level]:
+                return g, level
+            w = self.orbits[level][c][1]
+            g = tuple(w[x] for x in g)
+        return g, len(self.base)
+
+    @property
+    def order(self):
+        return math.prod(len(orbit) for orbit in self.orbits)
+
+    def __contains__(self, g):
+        return self.sift(g)[0] == self.identity
 
 
 class PermGroup:
@@ -423,6 +588,7 @@ class PermGroup:
         self.gens = tuple(clean) if clean else (ident,)
         self.name = name
         self._elements = None
+        self._chain = None
 
     @classmethod
     def symmetric(cls, n):
@@ -441,6 +607,16 @@ class PermGroup:
         refl = tuple((n - i) % n for i in range(n))
         return cls(n, [rot, refl], name=f"D{n}")
 
+    @classmethod
+    def signed(cls, images):
+        """The signed permutations `images`, (perm, signs) pairs with
+        g w_i = signs[i] w_(perm[i]), as permutations of the 2n points
+        +-w_i: +w_i is 2i and -w_i is 2i + 1."""
+        return cls(2 * len(images[0][0]), [
+            [2 * perm[i] + (neg ^ (sign < 0))
+             for i, sign in enumerate(signs) for neg in (0, 1)]
+            for perm, signs in images])
+
     @staticmethod
     def compose(p, q):
         return tuple(p[i] for i in q)
@@ -449,7 +625,15 @@ class PermGroup:
     def identity(self):
         return tuple(range(self.degree))
 
+    def bsgs(self, bound=DEFAULT_BOUND):
+        """The group's base and strong generating set, built once."""
+        if self._chain is None:
+            self._chain = _StabilizerChain(self.degree, self.gens, bound)
+        return self._chain
+
     def enumerate(self, bound=DEFAULT_BOUND):
+        """Every element, sorted, for the Cayley-table classification; order
+        and membership read the BSGS instead."""
         if self._elements is None:
             seen = {self.identity}
             frontier = [self.identity]
@@ -469,7 +653,7 @@ class PermGroup:
 
     @property
     def order(self):
-        return len(self.enumerate())
+        return self.bsgs().order
 
     @property
     def is_transitive(self):
@@ -493,7 +677,8 @@ class PermGroup:
             MatrixGroup([perm_matrix(GF(3), g) for g in self.gens]))
 
     def __contains__(self, p):
-        return tuple(p) in set(self.enumerate())
+        p = tuple(p)
+        return sorted(p) == list(range(self.degree)) and p in self.bsgs()
 
     def __repr__(self):
         label = self.name or f"degree {self.degree}"

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AlgebraError,
     CertificateCheckFailed,
     DimensionMismatch,
     HypothesisViolated,
@@ -27,8 +28,8 @@ from .errors import (
 )
 from .field import FieldElem
 from .form import QuadraticSpace, is_isometry, validate_decomposition
-from .group import MatrixGroup, abelian_normal_term, derived_series, \
-    is_abelian, setwise_stabilizer
+from .group import MatrixGroup, PermGroup, abelian_normal_term, \
+    derived_series, is_abelian, setwise_stabilizer
 from .linalg import Matrix, restrict_matrix
 from .modrep import homogeneous_components, is_irreducible, \
     zalesski_dichotomy_check
@@ -77,7 +78,7 @@ def _check_hypotheses(G, space):
             raise HypothesisViolated(
                 "not isometries", "a generator moves the form")
     series = derived_series(G)
-    if series[-1].order != 1:
+    if not series[-1].is_trivial:
         raise HypothesisViolated("not solvable")
     res = is_irreducible(G)
     if not res:
@@ -201,7 +202,9 @@ def monomialize(G, space, series=None):
     orthogonal part are isometries of the restricted form, and a part of
     an odd-dimensional space split into equal parts has odd dimension.
     Only irreducibility does not pass down; it is checked explicitly on
-    the restricted stabilizer.
+    the restricted stabilizer.  No level closes its group: triviality is
+    read from generators, and the orbit-stabilizer check of the stabilizer
+    reads |G| from the level's certificate.
     """
     if series is None:
         series = _check_hypotheses(G, space)
@@ -242,7 +245,17 @@ def monomialize(G, space, series=None):
         generator_images=images,
         transport=(tuple(word for word, _ in reps),) + rec.transport)
     _verify_internal(cert)
+    _check_orbit_stabilizer(H, D.k, images)
     return cert
+
+
+def _check_orbit_stabilizer(H, k, images):
+    """|H| k = |G| for the stabilizer H of one of the k parts, with |G|
+    read from the certificate instead of a closure of G: G acts faithfully
+    on the 2n points +-w_i of the verified basis as the signed permutations
+    `images`, whose BSGS gives their order."""
+    if H.order * k != PermGroup.signed(images).bsgs(H.bound).order:
+        raise AlgebraError("Schreier generators miss stabilizer elements")
 
 
 def _verify_internal(cert):

@@ -48,10 +48,12 @@ DEFAULT_BOUND = 10 ** 6
 @dataclass(frozen=True)
 class WreathSpec:
     """A signed-permutation group: diagonal sign changes extended by the
-    permutation matrices of K, attached to a scalar form c I_n."""
+    permutation matrices of K, attached to a scalar form c I_n; `order` is
+    2^n |K|, read without closing `group`."""
     space: QuadraticSpace
     perm_group: PermGroup
     group: MatrixGroup
+    order: int
 
 
 def _scalar_of(space):
@@ -65,8 +67,10 @@ def _scalar_of(space):
 
 def wreath_construct(K, space, bound=DEFAULT_BOUND):
     """The wreath group over K: all diagonal sign changes together with K's
-    permutation matrices, enumerated (at most `bound` elements) and checked
-    to have order 2^n |K|."""
+    permutation matrices, checked to have order 2^n |K|.  Its order is read
+    from the BSGS of its signed-permutation action on the 2n points +-e_i,
+    so the group is not closed here: `bound` caps the transversals of that
+    BSGS and of K's, and later closures of the group."""
     _scalar_of(space)
     F = space.field
     n = space.n
@@ -81,11 +85,18 @@ def wreath_construct(K, space, bound=DEFAULT_BOUND):
         gens.append(perm_matrix(F, p))
     group = MatrixGroup(gens, space=space, bound=bound,
                         name=f"O1wr{K.name or 'K'}")
-    expected = (2 ** n) * K.order
-    if group.order != expected:
+    # g e_i = +-e_(perm[i]): each column holds one entry, 1 or -1
+    images = []
+    for g in group.gens:
+        perm = np.argmax(g.a != 0, axis=0)
+        images.append((perm.tolist(),
+                       np.where(g.a[perm, range(n)] == 1, 1, -1).tolist()))
+    order = PermGroup.signed(images).bsgs(bound).order
+    expected = (2 ** n) * K.bsgs(bound).order
+    if order != expected:
         raise InvariantViolation(
-            f"wreath order {group.order} differs from 2^{n} |K| = {expected}")
-    return WreathSpec(space=space, perm_group=K, group=group)
+            f"wreath order {order} differs from 2^{n} |K| = {expected}")
+    return WreathSpec(space=space, perm_group=K, group=group, order=order)
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,17 @@ def test_bound_exceeded_in_every_command(argv):
     assert output.splitlines()[-1] == "bound exceeded: group exceeds bound 10"
 
 
+def test_wreath_over_s13_writes_its_file(tmp_path):
+    # regression: K = S_13 was listed element by element and exited 4
+    # (permutation group too big); the orders now come from BSGSs
+    path = tmp_path / "w.grp"
+    code, output = run(["wreath", "13", "3", "S", "-o", str(path)])
+    assert code == 0
+    assert output == f"group file written to {path}\n"
+    header = path.read_text().splitlines()[0]
+    assert header.endswith(f"order {2 ** 13 * 6227020800}")
+
+
 @pytest.mark.parametrize("text, line", [
     ("field p=3 k=2\ndim 1\ngram\n(1 0)\ngen\n(2 y)\n",
      "parse error: line 6: bad entry '2 y'"),

@@ -51,6 +51,19 @@ def test_wreath_certificate_matches_golden(tmp_path, n, q, kspec, name):
     assert out.getvalue() == golden.read_text()
 
 
+def test_analyze_certifies_a_group_over_the_bound(tmp_path):
+    # |G| = 160 exceeds --bound 100, but no derived term or stabilizer
+    # does, and G itself is never closed
+    group_file = tmp_path / "w.grp"
+    args = build_parser().parse_args(
+        ["--bound", "100", "wreath", "5", "3", "C", "-o", str(group_file)])
+    assert cmd_wreath(args, out=io.StringIO()) == 0
+    out = io.StringIO()
+    assert cmd_analyze(build_parser().parse_args(
+        ["--bound", "100", "analyze", str(group_file)]), out=out) == 0
+    assert out.getvalue() == (GOLDEN / "wreath_5_3_C.txt").read_text()
+
+
 def analyze_output(group_file):
     out = io.StringIO()
     assert cmd_analyze(build_parser().parse_args(

@@ -577,16 +577,27 @@ def test_stabilizer_keeps_the_closure_of_its_reduction(monkeypatch):
 
 
 def test_orbit_stabilizer_check_reads_the_closure_of_g(monkeypatch):
-    # a closure of G one element short: |H| k = |G| fails, and the check
-    # runs only when G's closure is known
+    # |H| k = |G| is checked against the |G| that the certificate's signed
+    # permutations give, not against a closure of G: a stabilizer closure
+    # one element short fails it, and G is closed by nobody
+    import orthomono.monomial as monomial_mod
     G, D = wreath_on_axes(F3, 5, "C")
     action = validate_decomposition(D, G)
-    assert setwise_stabilizer(G, action, 0).order == G.order // 5
-    G._closure = dict(list(G._closure.items())[:-1])
-    with pytest.raises(group.AlgebraError, match="Schreier generators"):
-        setwise_stabilizer(G, action, 0)
-    G._closure = None
     assert setwise_stabilizer(G, action, 0).order == 2 ** 5 * 5 // 5
+    real = monomial_mod.setwise_stabilizer
+
+    def short(G, action, i):
+        H = real(G, action, i)
+        H._closure = dict(list(H._closure.items())[:-1])
+        return H
+
+    monkeypatch.setattr(monomial_mod, "setwise_stabilizer", short)
+    with pytest.raises(group.AlgebraError, match="Schreier generators"):
+        monomial_mod.monomialize(G, G.space)
+    monkeypatch.setattr(monomial_mod, "setwise_stabilizer", real)
+    assert monomial_mod.monomialize(G, G.space).n == 5
+    assert G._closure is None
+    assert G.order == 2 ** 5 * 5
 
 
 def random_generator_lists(F, rng, lists=3, length=4):
@@ -639,8 +650,8 @@ def test_bound_is_crossed_inside_an_extension():
 
 
 def test_reduction_and_derived_series_extend_one_closed_set(monkeypatch):
-    # each kept generator extends the closure so far; closure() runs only
-    # for a group's own order (here G's, once)
+    # each kept generator extends the closure so far; closure() runs for
+    # no group, G included: triviality is read from the generators
     G, _ = wreath_on_axes(F5, 5, "AGL")
     elements = list(G.enumerate())
     calls = []
@@ -653,10 +664,13 @@ def test_reduction_and_derived_series_extend_one_closed_set(monkeypatch):
     monkeypatch.setattr(group, "closure", counting)
     small = reduce_generators(elements, G.identity)
     assert len(small) > 1 and calls == []
-    series = derived_series(MatrixGroup(G.gens, space=G.space))
-    assert calls == [len(G.gens)]
+    fresh = MatrixGroup(G.gens, space=G.space)
+    series = derived_series(fresh)
+    assert calls == [] and fresh._closure is None
     assert sum(len(t.gens) for t in series[1:]) > len(series) - 1
-    assert series[-1].order == 1
+    assert series[-1].is_trivial and series[-1].order == 1
+    assert [t.order for t in series[1:]] == \
+        [len(real(t.gens)) for t in series[1:]]
 
 
 def test_o53_from_all_reflections():

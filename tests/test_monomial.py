@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from orthomono.errors import CertificateCheckFailed, HypothesisViolated
+from orthomono.errors import AlgebraError, CertificateCheckFailed, \
+    HypothesisViolated
 from orthomono.field import GF, FieldElem
 from orthomono.form import QuadraticSpace
 from orthomono.group import (
     MatrixGroup,
+    PermGroup,
     orthogonal_group,
     perm_matrix,
     reduce_generators,
@@ -87,6 +89,28 @@ def test_monomialize_rejects_nonsolvable():
     with pytest.raises(HypothesisViolated) as exc:
         monomialize(G, s)
     assert exc.value.reason == "not solvable"
+
+
+def test_not_solvable_refusal_does_not_close_g(monkeypatch):
+    # O_3(7) from all its reflections: the derived series stops at Omega_3(7)
+    # and the refusal is read from generators, so G is never closed
+    from orthomono.form import anisotropic_lines
+    from orthomono.group import reflection
+    s = unit_space(F7, 3)
+    G = MatrixGroup([reflection(s, v) for v in anisotropic_lines(s)],
+                    space=s)
+    calls = []
+    real = group_mod.closure
+
+    def counting(gens, bound=group_mod.DEFAULT_BOUND):
+        calls.append(len(gens))
+        return real(gens, bound)
+
+    monkeypatch.setattr(group_mod, "closure", counting)
+    with pytest.raises(HypothesisViolated) as exc:
+        monomialize(G, s)
+    assert exc.value.reason == "not solvable"
+    assert calls == [] and G._closure is None
 
 
 def wreath_c5_group():
@@ -539,22 +563,48 @@ def test_coset_representatives_match_element_bfs(monkeypatch):
 
 
 def test_orbit_stabilizer_check_runs_at_every_level(monkeypatch):
-    # setwise_stabilizer checks |H| k = |G| whenever G's closure is cached;
-    # the derived series that each level builds closes its group first
-    known = []
-    real = monomial_mod.setwise_stabilizer
+    # monomialize checks |H| k = |G| at every level, with |G| read from the
+    # signed permutations of the level's certificate; it equals the order
+    # of the level's closure, which no level builds
+    checked = []
+    levels_seen = []
+    real_check = monomial_mod._check_orbit_stabilizer
+    real_stab = monomial_mod.setwise_stabilizer
 
-    def spy(G, action, i):
-        known.append(G._closure is not None)
-        H = real(G, action, i)
-        assert H.order * action.decomposition.k == G.order
-        return H
+    def spy_check(H, k, images):
+        checked.append((H.order * k, PermGroup.signed(images).order))
+        return real_check(H, k, images)
 
-    monkeypatch.setattr(monomial_mod, "setwise_stabilizer", spy)
+    def spy_stab(G, action, i):
+        levels_seen.append(G)
+        return real_stab(G, action, i)
+
+    monkeypatch.setattr(monomial_mod, "_check_orbit_stabilizer", spy_check)
+    monkeypatch.setattr(monomial_mod, "setwise_stabilizer", spy_stab)
     for build, levels in ((deep_block_group, 2), (wreath_c5_group, 1)):
-        known.clear()
+        checked.clear()
+        levels_seen.clear()
         monomialize(*build())
-        assert known == [True] * levels
+        assert len(checked) == len(levels_seen) == levels
+        assert all(G._closure is None for G in levels_seen)
+        # innermost level first: the check runs once its images exist
+        want = [G.order for G in reversed(levels_seen)]
+        assert checked == [(order, order) for order in want]
+
+    # a corrupted generator image (the sign change read as the identity)
+    # fails the check
+    real_images = monomial_mod._generator_images
+
+    def corrupt(gens, rows, space):
+        images = real_images(gens, rows, space)
+        if len(rows) < 5:
+            return images  # the lines of the level below
+        perm, signs = images[1]
+        return (images[0], (perm, (1,) * len(signs)))
+
+    monkeypatch.setattr(monomial_mod, "_generator_images", corrupt)
+    with pytest.raises(AlgebraError, match="Schreier generators"):
+        monomialize(*wreath_c5_group())
 
 
 def test_one_permutation_action_per_level(monkeypatch):
