@@ -29,7 +29,7 @@ from .field import GF, POLICY_MAX_Q, FieldSpec, prime_factors
 from .form import QuadraticSpace
 from .group import MatrixGroup, PermGroup, derived_series, orthogonal_group
 from .linalg import Matrix
-from .modrep import is_irreducible
+from .modrep import fixed_line_table, is_irreducible
 from .monomial import check_certificate, monomialize
 from .tablegrp import CayleyTable
 from .wreath import maximality_check, maximality_check_big, \
@@ -288,9 +288,12 @@ def cmd_check_theorem(args, out=sys.stdout):
     classes = ct.solvable_subgroup_classes()
     print(f"O_{n}({q}): order {ambient.order}, "
           f"{len(classes)} solvable subgroup classes", file=out)
+    fixes = fixed_line_table(field, n, els)
     ran = 0
     failures = 0
     for H in classes:
+        if fixes[:, H].all(axis=1).any():
+            continue    # a common fixed line is a proper invariant subspace
         gens = [els[i] for i in ct.subgroup_generators(H)] or [ambient.identity]
         G = MatrixGroup(gens, space=space, bound=args.bound)
         if not is_irreducible(G):

@@ -14,7 +14,8 @@ Both read only the generators of the group, never its element list.  They
 must agree; the test suite holds them against each other.  The module
 also carries spinning and irreducibility (the Holt-Rees criterion over a
 deterministic word list, Norton's nullity-one case first, with an
-exhaustive line spin only for groups where no word qualifies), single-
+exhaustive line spin only for groups where no word qualifies), the table
+of which elements of a list fix which projective line, single-
 element eigenspace analysis with Galois orbits, the inverse-eigenvalue
 pairing check, and the dichotomy filter that turns components into an
 orthogonal decomposition.
@@ -181,6 +182,35 @@ def is_irreducible(G, line_bound=10 ** 6):
     return IrreducibilityResult(True)
 
 
+_LINE_TABLE_CHUNK = 128   # elements per product, to bound the temporaries
+
+
+def fixed_line_table(F, n, matrices):
+    """Boolean array `fixes` with fixes[l, g] true when matrices[g] fixes
+    line l of projective_lines(F, n).
+
+    Lines common to a set of elements are invariant subspaces, so a
+    subgroup H with fixes[:, H].all(axis=1).any() is reducible.  A line is
+    a proper subspace only for n > 1; for n = 1 the table has no rows, and
+    no subgroup has a common fixed line.
+    """
+    N = len(matrices)
+    if n == 1:
+        return np.zeros((0, N), dtype=bool)
+    lines = np.stack(projective_lines(F, n), axis=1)    # n x lines
+    lead = np.argmax(lines != 0, axis=0)    # each line's leading 1
+    cols = np.arange(lines.shape[1])
+    fixes = np.empty((lines.shape[1], N), dtype=bool)
+    for start in range(0, N, _LINE_TABLE_CHUNK):
+        chunk = matrices[start:start + _LINE_TABLE_CHUNK]
+        img = F.mat_mul(np.concatenate([m.a for m in chunk]), lines) \
+            .reshape(len(chunk), n, -1)
+        # g fixes the line of v iff g v = c v, with c the leading entry of g v
+        scaled = F.vmul(img[:, lead, cols][:, None, :], lines)
+        fixes[:, start:start + len(chunk)] = (img == scaled).all(axis=1).T
+    return fixes
+
+
 class AlgebraSpan:
     """F-span of a family of n x n matrices that is closed under products
     (e.g. the image of a group); keeps an RREF basis of the flattened
@@ -264,11 +294,12 @@ def homogeneous_components(L):
     """Isotypic components of F^n restricted to the abelian group L,
     computed over the base field by idempotent refinement.
 
-    Each block's enveloping algebra is spun from the restricted generators
-    of L; its RREF basis is canonical, so it is the same as the span of
-    every restricted element.  Blocks whose algebra has a one-dimensional
-    Frobenius-fixed subalgebra are single components; otherwise the first
-    non-scalar fixed element has a squarefree totally-split minimal
+    L's enveloping algebra is spun once from its generators, and its
+    Frobenius-fixed basis is taken once.  Restriction to an L-invariant
+    block is an algebra map that commutes with x -> x^q, so the restricted
+    fixed basis spans the fixed subalgebra of the block's algebra.  Blocks
+    on which it is scalar are single components; otherwise the first
+    non-scalar restricted element has a squarefree totally-split minimal
     polynomial, and its eigenspaces refine the block.
     """
     if not is_abelian(L):
@@ -276,15 +307,14 @@ def homogeneous_components(L):
     _coprimality_guard(L)
     F = L.field
     n = L.dim
+    fixed = _frobenius_fixed_basis(
+        AlgebraSpan(F, n, _enveloping_algebra(F, n, L.gens)))
     work = [Subspace.whole(F, n)]
     final = []
     while work:
         block = work.pop(0)
-        restricted = [restrict_matrix(g, block) for g in L.gens]
-        algebra = AlgebraSpan(F, block.dim,
-                              _enveloping_algebra(F, block.dim, restricted))
-        fixed = _frobenius_fixed_basis(algebra)
-        nonscalar = _first_nonscalar(F, fixed)
+        nonscalar = _first_nonscalar(
+            F, (restrict_matrix(x, block) for x in fixed))
         if nonscalar is None:
             final.append(block)
             continue

@@ -184,32 +184,54 @@ def test_check_theorem_small(tmp_path):
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_check_theorem_tests_each_class_once(monkeypatch, q):
-    # the command's own irreducibility test stands in for the one in
-    # monomialize's hypothesis check: each class is tested exactly once
+    # each class is decided once: by a common fixed line in the table, or
+    # by the command's own irreducibility test, which stands in for the
+    # one in monomialize's hypothesis check
     import orthomono.cli as cli
     import orthomono.monomial as monomial
 
-    tested = []
-
-    def counting(real):
-        def wrapper(G):
-            tested.append(G)  # kept alive, so ids stay distinct
-            return real(G)
+    def keeping(log, real):
+        def wrapper(*args):
+            log.append(real(*args))
+            return log[-1]
         return wrapper
 
-    monkeypatch.setattr(cli, "is_irreducible", counting(cli.is_irreducible))
+    tables, classes, verdicts, res_tests = [], [], [], []
+    monkeypatch.setattr(cli, "fixed_line_table",
+                        keeping(tables, cli.fixed_line_table))
+    monkeypatch.setattr(cli.CayleyTable, "solvable_subgroup_classes",
+                        keeping(classes,
+                                cli.CayleyTable.solvable_subgroup_classes))
+    monkeypatch.setattr(cli, "is_irreducible",
+                        keeping(verdicts, cli.is_irreducible))
     monkeypatch.setattr(monomial, "is_irreducible",
-                        counting(monomial.is_irreducible))
+                        keeping(res_tests, monomial.is_irreducible))
     hypotheses = []
     monkeypatch.setattr(monomial, "_check_hypotheses",
                         lambda *a: hypotheses.append(a))
     code, output = run(["check-theorem", "3", str(q)])
     assert code == 0 and "failures: 0" in output
     assert hypotheses == []
-    assert len(tested) == len({id(G) for G in tested})
+    [fixes], [classes] = tables, classes
+    screened = sum(bool(fixes[:, H].all(axis=1).any()) for H in classes)
+    assert screened > 0
+    assert screened + len(verdicts) == len(classes)
+    # in dimension 3 the screen is exact: every class it lets through is
+    # irreducible and certified, with one H_res test per certificate
     ran = int(output.split("irreducible solvable classes: ")[1].split(",")[0])
-    # every class once in the command, plus one H_res per certificate
-    assert len(tested) > ran > 0
+    assert [bool(v) for v in verdicts] == [True] * ran and ran > 0
+    assert len(res_tests) == ran
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_check_theorem_dimension_one(q):
+    # the one line of F^1 is the whole space: no fixed-line screen applies
+    code, output = run(["check-theorem", "1", str(q)])
+    assert code == 0
+    assert output == (f"O_1({q}): order 2, 2 solvable subgroup classes\n"
+                      "  class order 1: certificate ok (c = 1)\n"
+                      "  class order 2: certificate ok (c = 1)\n"
+                      "irreducible solvable classes: 2, failures: 0\n")
 
 
 def test_check_theorem_even_rejected():

@@ -23,6 +23,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     ["maximal", "3", "7"],
     ["maximal", "3", "9"],
     ["check-theorem", "3", "7"],
+    ["check-theorem", "3", "9"],
 ])
 def test_cli_output_matches_golden(argv):
     handler = {"check-theorem": cmd_check_theorem,

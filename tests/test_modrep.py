@@ -24,13 +24,16 @@ from orthomono.linalg import (
     eval_poly,
     extend_scalars,
     kernel,
+    minpoly,
     primary_components,
     projective_lines,
+    restrict_matrix,
     vec,
 )
 from orthomono.modrep import (
     AlgebraSpan,
     eigen_analysis,
+    fixed_line_table,
     homogeneous_components,
     homogeneous_components_split,
     is_irreducible,
@@ -38,6 +41,7 @@ from orthomono.modrep import (
     spin,
     zalesski_dichotomy_check,
 )
+from orthomono.tablegrp import CayleyTable
 from orthomono.wreath import wreath_construct
 
 F3, F5, F7 = GF(3), GF(5), GF(7)
@@ -401,6 +405,57 @@ def test_holt_rees_property_on_signed_permutation_pairs(case):
             assert res.witness.image(g) == res.witness
 
 
+# --- the fixed-line screen ---------------------------------------------------
+
+
+def fixes_line(g, v):
+    """Reference: g v lies on the line of v."""
+    F = g.field
+    return Subspace(F, len(v), np.stack([v, F.mat_vec(g.a, v)])).dim == 1
+
+
+@pytest.mark.parametrize("F, n, count", [
+    (F3, 3, None), (F5, 3, None), (GF(3, 2), 3, 200), (F3, 5, None)])
+def test_fixed_line_table_matches_per_element_reference(F, n, count):
+    # O_3(5) (240 elements) and the first 200 elements of O_3(9) span
+    # more than one product chunk; the signed C_5 over GF(3) has 121 lines
+    if n == 3:
+        els = orthogonal_group(unit_space(F, 3)).enumerate()[:count]
+    else:
+        els = wreath_construct(PermGroup.cyclic(5),
+                               unit_space(F, 5)).group.enumerate()
+    fixes = fixed_line_table(F, n, els)
+    lines = projective_lines(F, n)
+    assert fixes.shape == (len(lines), len(els))
+    assert fixes.any() and not fixes.all()
+    for l, v in enumerate(lines):
+        assert list(fixes[l]) == [fixes_line(g, v) for g in els]
+
+
+def test_fixed_line_table_has_no_rows_in_dimension_one():
+    # the only line of F^1 is the whole space, never a proper subspace
+    els = orthogonal_group(unit_space(F5, 1)).enumerate()
+    assert fixed_line_table(F5, 1, els).shape == (0, len(els))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_fixed_line_screen_matches_is_irreducible(q):
+    # in dimension 3 an invariant subspace W of an isometry group comes
+    # with the invariant W-perp, and one of the two is a line: the screen
+    # is exact on every solvable class of O_3(q)
+    F = GF(3, 2) if q == 9 else GF(q)
+    ambient = orthogonal_group(unit_space(F, 3))
+    els = ambient.enumerate()
+    ct = CayleyTable.from_matrix_group(ambient)
+    fixes = fixed_line_table(F, 3, els)
+    classes = ct.solvable_subgroup_classes()
+    assert len(classes) == {3: 33, 5: 52, 7: 65, 9: 71}[q]
+    for H in classes:
+        G = MatrixGroup([els[i] for i in ct.subgroup_generators(H)]
+                        or [ambient.identity])
+        assert fixes[:, H].all(axis=1).any() == (not is_irreducible(G))
+
+
 # --- algebra span -----------------------------------------------------------
 
 
@@ -506,6 +561,50 @@ def test_enveloping_algebra_spin_spans_every_element(abelian_terms):
         full = AlgebraSpan(F, n, list(L.enumerate()))
         assert np.array_equal(spun.rows, full.rows)
         assert spun.pivots == full.pivots
+
+
+def per_block_components(L):
+    """Reference for homogeneous_components: spin each block's own
+    enveloping algebra from the restricted generators and take its own
+    Frobenius-fixed basis (the per-block refinement that one fixed basis
+    of L's algebra, restricted to each block, replaced)."""
+    F = L.field
+    work = [Subspace.whole(F, L.dim)]
+    final = []
+    while work:
+        block = work.pop(0)
+        restricted = [restrict_matrix(g, block) for g in L.gens]
+        fixed = modrep._frobenius_fixed_basis(AlgebraSpan(
+            F, block.dim,
+            modrep._enveloping_algebra(F, block.dim, restricted)))
+        x = modrep._first_nonscalar(F, fixed)
+        if x is None:
+            final.append(block)
+            continue
+        for g, _ in poly_factor(minpoly(x)):
+            eig = kernel(eval_poly(g, x))
+            work.append(Subspace(F, L.dim, block.lift_rows(eig.basis)))
+    return sorted(final, key=lambda c: c.sort_key())
+
+
+def test_components_match_the_per_block_algebras(abelian_terms):
+    for L in abelian_terms:
+        assert homogeneous_components(L) == per_block_components(L)
+
+
+def test_components_spin_one_algebra_per_group(monkeypatch, abelian_terms):
+    calls = []
+    real = modrep._enveloping_algebra
+
+    def counting(F, d, gens):
+        calls.append(d)
+        return real(F, d, gens)
+
+    monkeypatch.setattr(modrep, "_enveloping_algebra", counting)
+    for L in abelian_terms:
+        calls.clear()
+        homogeneous_components(L)
+        assert calls == [L.dim]
 
 
 def test_components_never_enumerate_l():
